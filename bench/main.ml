@@ -523,132 +523,12 @@ let ablations () =
   scratch_ablation ();
   skid_ablation ()
 
-(* ---- wall-clock pipeline benchmark (host time) -----------------------
-
-   Unlike every artifact above (virtual-ns cost model), this one times
-   the *host*: record/save/open/replay of the largest workloads at
-   jobs=1 vs jobs=ncores, the real-time trajectory of the multicore
-   trace pipeline.  The parallel and serial saves must be byte-
-   identical — checked on every run.  [--smoke] shrinks the workloads
-   and pins the parallel leg to 2 domains so `dune runtest` exercises
-   the pipeline cheaply even on a single-core host. *)
-
+(* Host seconds taken by [f] (the benches below time the host, not the
+   virtual clock). *)
 let host_time f =
   let t0 = Unix.gettimeofday () in
   let r = f () in
   (r, Unix.gettimeofday () -. t0)
-
-type wc_leg = {
-  wc_jobs : int;
-  record_s : float;
-  save_s : float;
-  open_s : float;
-  replay_s : float;
-  raw_bytes : int; (* pre-deflate general-trace volume *)
-  trace_bytes : int;
-  wc_file : string; (* temp path, kept until the identity check *)
-}
-
-let wc_run w ~jobs ~readahead =
-  let (recd, _), record_s =
-    host_time (fun () -> Workload.record ~opts:(Recorder.make_opts ~jobs ()) w)
-  in
-  let path = Filename.temp_file "rr_wallclock" ".trace" in
-  let (), save_s =
-    host_time (fun () -> Trace.save_exn recd.Workload.trace path)
-  in
-  let trace, open_s =
-    host_time (fun () ->
-        Trace.load_exn ~opts:(Trace.make_opts ~jobs ~readahead ()) path)
-  in
-  let _, replay_s = host_time (fun () -> ignore (Replayer.replay trace)) in
-  { wc_jobs = jobs;
-    record_s;
-    save_s;
-    open_s;
-    replay_s;
-    raw_bytes = (Trace.stats recd.Workload.trace).Trace.raw_bytes;
-    trace_bytes = (Unix.stat path).Unix.st_size;
-    wc_file = path }
-
-let wc_leg_json l =
-  Printf.sprintf
-    "{\"jobs\":%d,\"record_s\":%.6f,\"save_s\":%.6f,\"open_s\":%.6f,\"replay_s\":%.6f,\"raw_bytes\":%d,\"trace_bytes\":%d}"
-    l.wc_jobs l.record_s l.save_s l.open_s l.replay_s l.raw_bytes
-    l.trace_bytes
-
-let read_file path = In_channel.with_open_bin path In_channel.input_all
-
-let wallclock ~smoke () =
-  Fmt.pr "@.== Wall-clock trace pipeline (host seconds) ==@.";
-  let ncores = Domain.recommended_domain_count () in
-  let par_jobs = if smoke then 2 else max 2 ncores in
-  let readahead = 4 in
-  let wls =
-    if smoke then
-      [ Wl_cp.make ~params:{ Wl_cp.files = 4; file_kb = 64 } ();
-        Wl_samba.make () ]
-    else
-      (* Payload-heavy variants: enough trace volume per unit of guest
-         compute that chunk deflate is a visible share of record time —
-         the share the background compressors can reclaim. *)
-      [ Wl_samba.make
-          ~params:
-            { Wl_samba.echoes = 300;
-              payload = 8192;
-              server_work = 2_000;
-              client_work = 1_000 }
-          ();
-        Wl_octane.make
-          ~params:{ Wl_octane.default with Wl_octane.iters = 300 } () ]
-  in
-  Fmt.pr "ncores=%d  parallel jobs=%d  readahead=%d@." ncores par_jobs
-    readahead;
-  let entries =
-    List.map
-      (fun w ->
-        let name = w.Workload.name in
-        let serial = wc_run w ~jobs:1 ~readahead:0 in
-        let par = wc_run w ~jobs:par_jobs ~readahead in
-        let identical =
-          String.equal (read_file serial.wc_file) (read_file par.wc_file)
-        in
-        Sys.remove serial.wc_file;
-        Sys.remove par.wc_file;
-        if not identical then begin
-          Fmt.epr
-            "FATAL: %s trace differs between jobs=1 and jobs=%d — the \
-             parallel pipeline must be byte-identical@."
-            name par_jobs;
-          exit 1
-        end;
-        let speedup =
-          (serial.record_s +. serial.save_s)
-          /. (par.record_s +. par.save_s)
-        in
-        Fmt.pr
-          "%-10s record+save %.3fs (jobs=1) vs %.3fs (jobs=%d): %.2fx; \
-           open+replay %.3fs vs %.3fs; identical=yes@."
-          name
-          (serial.record_s +. serial.save_s)
-          (par.record_s +. par.save_s)
-          par_jobs speedup
-          (serial.open_s +. serial.replay_s)
-          (par.open_s +. par.replay_s);
-        Printf.sprintf
-          "\"%s\":{\"serial\":%s,\"parallel\":%s,\"identical\":true,\"record_save_speedup\":%.4f}"
-          name (wc_leg_json serial) (wc_leg_json par) speedup)
-      wls
-  in
-  let oc = open_out "BENCH_wallclock.json" in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      Printf.fprintf oc
-        "{\"ncores\":%d,\"smoke\":%b,\"readahead\":%d,\"workloads\":{%s}}\n"
-        ncores smoke readahead
-        (String.concat "," entries));
-  Fmt.pr "(wrote BENCH_wallclock.json)@."
 
 (* ---- seek latency: indexed vs. scan (host time) ----------------------
 
@@ -1078,7 +958,6 @@ let () =
       ("fig6", fig6);
       ("fig7", table3);
       ("ablation", ablations);
-      ("wallclock", wallclock ~smoke);
       ("seek", seek_bench ~smoke);
       ("fleet", fleet ~smoke);
       ("serve", serve_bench ~smoke);
@@ -1094,7 +973,6 @@ let () =
     table2 ();
     table3 ();
     ablations ();
-    wallclock ~smoke ();
     seek_bench ~smoke ();
     fleet ~smoke ();
     serve_bench ~smoke ();

@@ -28,8 +28,7 @@ let workload_of_name = function
    Every flag that more than one subcommand accepts is declared here
    exactly once: names, docv and help text live in this table and
    nowhere else, so subcommands cannot drift apart in spelling or
-   semantics (record/replay/index/seek/profile used to hand-roll
-   --jobs/--readahead/-o separately).  --help output is generated from
+   semantics.  --help output is generated from
    these declarations and smoke-rendered for every subcommand by the
    CLI lint in bin/dune. *)
 module Flags = struct
@@ -73,21 +72,6 @@ module Flags = struct
     let doc = "Recording seed (scheduling and entropy)." in
     Arg.(value & opt int 1 & info [ "seed" ] ~doc)
 
-  let jobs =
-    let doc =
-      "Worker domains that deflate trace chunks in the background while \
-       recording continues (1 = serial; output is byte-identical either \
-       way)."
-    in
-    Arg.(value & opt int 1 & info [ "jobs"; "j" ] ~docv:"N" ~doc)
-
-  let readahead =
-    let doc =
-      "Chunks the replay reader prefetches and inflates in the background \
-       (0 = inflate on demand)."
-    in
-    Arg.(value & opt int 0 & info [ "readahead" ] ~docv:"N" ~doc)
-
   let out ~doc =
     Arg.(value & opt (some string) None & info [ "o"; "out" ] ~docv:"FILE" ~doc)
 
@@ -102,11 +86,11 @@ module Flags = struct
   (* The recording options every recording subcommand accepts, combined
      into one term: parsed once, clamped once (Recorder.make_opts). *)
   let record_opts =
-    let combine no_intercept no_cloning chaos seed jobs =
+    let combine no_intercept no_cloning chaos seed =
       Recorder.make_opts ~intercept:(not no_intercept)
-        ~clone_blocks:(not no_cloning) ~chaos ~seed ~jobs ()
+        ~clone_blocks:(not no_cloning) ~chaos ~seed ()
     in
-    Term.(const combine $ no_intercept $ no_cloning $ chaos $ seed $ jobs)
+    Term.(const combine $ no_intercept $ no_cloning $ chaos $ seed)
 end
 
 let do_record w opts =
@@ -610,10 +594,6 @@ let dump_file_cmd =
     let total = Trace.n_events trace in
     Fmt.pr "%s: %d frames, %a@." path total Trace.pp_stats
       (Trace.stats trace);
-    Fmt.pr "integrity: %s@."
-      (match Trace.integrity trace with
-      | `Crc_checked -> "crc-checked"
-      | `Trusted -> "trusted (pre-CRC v2 format)");
     (* Only the chunks covering the first [n] frames are inflated. *)
     let c = Trace.Reader.open_ trace in
     while Trace.Reader.pos c < min n total do
@@ -1029,14 +1009,12 @@ let stats_cmd =
     | Ok (_ : Shard.result_) -> ()
     | Error e -> Fmt.failwith "shard split failed: %a" Repo.pp_error e
   in
-  let run name opts readahead json attribution =
+  let run name opts json attribution =
     let w = workload_of_name name in
     (* One clean record+replay session; the snapshot covers both phases. *)
     Telemetry.reset ();
     if attribution then Timeline.start ();
     let recd, _ = Workload.record ~opts w in
-    Trace.set_opts recd.Workload.trace
-      (Trace.make_opts ~jobs:opts.Recorder.jobs ~readahead ());
     let _rep, _ = Workload.replay recd in
     exercise_ring_and_repo ();
     if attribution then Timeline.stop ();
@@ -1060,8 +1038,8 @@ let stats_cmd =
           snapshot (counters, spans, histograms, event ring), including \
           the flight-recorder ring and trace-repository instruments.")
     Term.(
-      const run $ Flags.workload $ Flags.record_opts $ Flags.readahead
-      $ json_arg $ attribution_arg)
+      const run $ Flags.workload $ Flags.record_opts $ json_arg
+      $ attribution_arg)
 
 (* ---- profile: timeline tracing with Chrome trace-event export -------- *)
 
@@ -1105,7 +1083,7 @@ let profile_run ~phase ~w ~opts =
 (* Self-contained profile check: record sambatest under the timeline and
    verify the Chrome export in-process — the JSON parses, every B has a
    matching E per lane, scopes nest, and the acceptance floor holds
-   (>= 4 layers including kern/rrtrace/rr/exec, >= 2 lanes). *)
+   (the kern, rrtrace and rr layers all present, >= 2 lanes). *)
 let profile_smoke () =
   let w = workload_of_name "sambatest" in
   profile_run ~phase:`Record ~w ~opts:(Recorder.make_opts ());
@@ -1167,7 +1145,7 @@ let profile_smoke () =
   List.iter
     (fun layer ->
       if not (Hashtbl.mem cats layer) then fail "no scopes from layer %S" layer)
-    [ "kern"; "rrtrace"; "rr"; "exec" ];
+    [ "kern"; "rrtrace"; "rr" ];
   if Hashtbl.length lanes < 2 then
     fail "only %d lane(s), want >= 2" (Hashtbl.length lanes);
   if !max_depth < 2 then fail "no nested scopes (max depth %d)" !max_depth;
@@ -1577,10 +1555,8 @@ let replay_cmd =
   in
   (* Targeted replay: how much cheaper is reaching one connection's
      final state through its shard than through the whole trace? *)
-  let replay_conn opts readahead conn =
+  let replay_conn opts conn =
     let trace, _stats, ct = record_serve ~params:Wl_serve.default opts in
-    let topts = Trace.make_opts ~jobs:opts.Recorder.jobs ~readahead () in
-    Trace.set_opts trace topts;
     let tags = Conn_track.tags ct in
     let info =
       match
@@ -1594,7 +1570,6 @@ let replay_cmd =
           (List.length (Conn_track.connections ct))
     in
     let shard, (_ : int array) = Shard.extract ~tags ~conn trace in
-    Trace.set_opts shard topts;
     (* the connection's last owned frame, and its position among the
        frames the shard kept *)
     let i_last = ref (-1) in
@@ -1625,19 +1600,17 @@ let replay_cmd =
       Fmt.pr "  worker state at the target frame is byte-identical.@."
     else Fmt.failwith "shard replay state DIVERGED from the full trace"
   in
-  let run name opts readahead conn =
+  let run name opts conn =
     with_trace_errors @@ fun () ->
     match conn with
     | Some c ->
       if name <> "serve" then
         Fmt.failwith "--conn targets a connection: it requires the serve \
                       workload";
-      replay_conn opts readahead c
+      replay_conn opts c
     | None ->
       let w = workload_of_name name in
       let recd = do_record w opts in
-      Trace.set_opts recd.Workload.trace
-        (Trace.make_opts ~jobs:opts.Recorder.jobs ~readahead ());
       let rep, _ = Workload.replay recd in
       let st = rep.Workload.rep_stats in
       Fmt.pr "replayed %s: exit=%a (events applied: %d, wall %d)@."
@@ -1658,8 +1631,7 @@ let replay_cmd =
           --conn, replay a single connection's shard and report \
           time-to-first-replay.")
     Term.(
-      const run $ Flags.workload $ Flags.record_opts $ Flags.readahead
-      $ conn_arg)
+      const run $ Flags.workload $ Flags.record_opts $ conn_arg)
 
 let repo_cmd =
   let init_cmd =

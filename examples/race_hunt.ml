@@ -37,9 +37,7 @@ let build k =
   K.install_image k ~path:"/bin/racy" (G.build b ~name:"racy" ())
 
 let record ~chaos ~seed =
-  let opts =
-    { Recorder.default_opts with chaos; seed; timeslice_rcbs = 2_000 }
-  in
+  let opts = Recorder.make_opts ~chaos ~seed ~timeslice_rcbs:2_000 () in
   Recorder.record ~opts ~setup:build ~exe:"/bin/racy" ()
 
 let hunt ~chaos ~tries =

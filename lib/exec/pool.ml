@@ -85,10 +85,9 @@ let worker p () =
 
 let create ?queue_limit ~jobs () =
   (* Degrade to the inline serial path when the host has a single core:
-     spawned domains would only time-slice against the submitter, and
-     the parallel pipeline measurably loses there (BENCH_wallclock on a
-     1-core container).  Output is byte-identical either way, so this
-     is purely a scheduling decision. *)
+     spawned domains would only time-slice against the submitter.
+     Results are identical either way, so this is purely a scheduling
+     decision. *)
   let n_jobs =
     if Domain.recommended_domain_count () <= 1 then 1 else max 1 jobs
   in

@@ -1,10 +1,10 @@
 (** A domain-based worker pool with a bounded task queue and futures.
 
     This is the only place in the tree allowed to call [Domain.spawn]
-    (enforced by [tools/check_format.sh]): every parallel stage — the
-    trace store's background chunk compression, the replay reader's
-    chunk readahead — goes through a [Pool.t], so concurrency policy
-    (worker count, queue depth, backpressure) lives in one module.
+    (enforced by [tools/check_format.sh]): every parallel stage — today
+    the fleet benchmark's concurrent recorders — goes through a
+    [Pool.t], so concurrency policy (worker count, queue depth,
+    backpressure) lives in one module.
 
     Semantics:
     - [jobs <= 1] spawns no domains at all: [submit] runs the task

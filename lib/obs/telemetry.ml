@@ -6,9 +6,8 @@
    valid across runs, which is what lets the bench harness snapshot one
    workload at a time.
 
-   Domain safety: worker domains (the {!Pool} in lib/exec — trace
-   compression, replay readahead) report through the same registry as
-   the main thread.  Counters and gauges are single atomics, so the hot
+   Domain safety: worker domains (the {!Pool} in lib/exec — concurrent
+   recorders) report through the same registry as the main thread.  Counters and gauges are single atomics, so the hot
    increment path never takes a lock; histograms, spans, the event ring,
    registration, [reset] and [snapshot] serialize on one registry mutex
    ([reg_m]).  Internal [*_unlocked] helpers exist so compound

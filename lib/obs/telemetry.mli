@@ -41,8 +41,7 @@
     O(1) field updates.
 
     The registry is domain-safe: worker domains (the pool in [lib/exec]
-    that deflates trace chunks and prefetches replay chunks) share it
-    with the main thread.  Counters and gauges are lock-free atomics;
+    running concurrent recorders) share it with the main thread.  Counters and gauges are lock-free atomics;
     histograms, spans, the event ring, registration, {!reset} and
     {!snapshot} serialize on an internal registry mutex.  {!set_clock}
     installs a closure that worker domains may call concurrently — time

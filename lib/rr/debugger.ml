@@ -432,10 +432,3 @@ module Query = struct
       Telemetry.incr tm_index_fallback;
       Ok (scan_last_write d ~tid ~addr ~len ~upto:before)
 end
-
-(* ---- deprecated scan API (reimplemented over Query) ------------------ *)
-
-let last_change d ~tid ~addr ~len =
-  match Query.last_write d ~tid ~addr ~len with
-  | Ok r -> r
-  | Error _ -> assert false (* [before] defaults to [pos], always in range *)

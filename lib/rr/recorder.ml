@@ -59,7 +59,6 @@ type opts = {
   seed : int;
   max_events : int; (* runaway-recording guard *)
   checksum_every : int; (* emit memory checksums every N frames; 0 = off *)
-  jobs : int; (* worker domains deflating trace chunks in the background *)
   chunk_limit : int; (* pending bytes that seal a chunk (Trace.Writer) *)
   sink : sink_spec; (* where the trace streams while recording *)
   dump_on : trigger list; (* flight-recorder dump triggers (Flight) *)
@@ -76,7 +75,6 @@ let default_opts =
     seed = 1;
     max_events = 5_000_000;
     checksum_every = 0;
-    jobs = 1;
     chunk_limit = 1 lsl 16;
     sink = Sink_memory;
     dump_on = [] }
@@ -88,12 +86,12 @@ let make_opts ?(intercept = default_opts.intercept) ?(wide = default_opts.wide)
     ?(timeslice_rcbs = default_opts.timeslice_rcbs) ?(seed = default_opts.seed)
     ?(max_events = default_opts.max_events)
     ?(checksum_every = default_opts.checksum_every)
-    ?(jobs = default_opts.jobs) ?(chunk_limit = default_opts.chunk_limit)
+    ?(chunk_limit = default_opts.chunk_limit)
     ?(sink = default_opts.sink) ?(dump_on = default_opts.dump_on) () =
   { intercept; wide; scratch; clone_blocks; compress; chaos;
     timeslice_rcbs = max 1 timeslice_rcbs; seed;
     max_events = max 1 max_events; checksum_every = max 0 checksum_every;
-    jobs = max 1 jobs; chunk_limit = max 256 chunk_limit; sink;
+    chunk_limit = max 256 chunk_limit; sink;
     dump_on = List.sort_uniq compare dump_on }
 
 let with_sink opts sink = { opts with sink }
@@ -1068,7 +1066,7 @@ let handle_stop r task stop =
     | Signals.Fault | Signals.User _ -> on_app_signal r task info)
 
 (* Resolve [opts.sink] to a concrete {!Trace.Sink.t}.  An explicit
-   [?journal] (the deprecated calling convention) takes precedence. *)
+   [?journal] writer takes precedence. *)
 let resolve_sink opts journal =
   match journal with
   | Some io -> Some (Trace.Sink.of_io io)
@@ -1096,9 +1094,7 @@ let record ?(opts = default_opts) ?(on_stop = fun (_ : K.t) -> ())
         setup k;
         try
           Trace.Writer.create ~compress:opts.compress
-            ~chunk_limit:opts.chunk_limit
-            ~opts:(Trace.make_opts ~jobs:opts.jobs ())
-            ?sink:(resolve_sink opts journal) ~initial_exe:exe ()
+            ~chunk_limit:opts.chunk_limit ?sink:(resolve_sink opts journal) ~initial_exe:exe ()
         with e -> raise (reraise_typed e))
   in
   let r =
@@ -1172,16 +1168,16 @@ let record ?(opts = default_opts) ?(on_stop = fun (_ : K.t) -> ())
     (* The emergency debugger (§6.2): dump tracee state next to the
        failure so it can be diagnosed in the field. *)
     Log.err (fun m -> m "%s" (Diagnostics.dump ~msg:(Printexc.to_string exn) k));
-    (* Release the writer without committing: the deflate pool and the
-       sink's fd must not outlive a recording that died (a killed file
-       journal leaves its salvageable prefix on disk; a ring keeps its
-       window live in the caller-owned handle). *)
+    (* Release the writer without committing: the sink's fd must not
+       outlive a recording that died (a killed file journal leaves its
+       salvageable prefix on disk; a ring keeps its window live in the
+       caller-owned handle). *)
     Trace.Writer.abort w;
     Timeline.end_scope "record.session";
     Telemetry.clear_clock ();
     raise (reraise_typed exn));
   (* The clock stays installed through [finish] so the final commit
-     (deflate drain, manifest write) is timed like everything else. *)
+     (last deflate, manifest write) is timed like everything else. *)
   let trace =
     Fun.protect
       ~finally:(fun () ->
@@ -1213,5 +1209,3 @@ let run ?opts ?on_stop ?on_event ?journal ~setup ~exe () =
   match record ?opts ?on_stop ?on_event ?journal ~setup ~exe () with
   | v -> Ok v
   | exception Record_error e -> Error e
-
-let record_result = run

@@ -55,7 +55,7 @@ type trigger =
   | On_divergence  (** a verification replay of the window diverged *)
   | On_always
 
-type opts = {
+type opts = private {
   intercept : bool; (* in-process syscall interception (§3) *)
   wide : bool; (* widened wrapper set (§3.1); replay must use the same *)
   scratch : bool; (* detour blocking outputs through scratch (§2.3.1) *)
@@ -66,7 +66,6 @@ type opts = {
   seed : int; (* recording-side entropy *)
   max_events : int; (* runaway-recording guard *)
   checksum_every : int; (* memory digests every N frames (§6.2); 0 = off *)
-  jobs : int; (* worker domains deflating trace chunks in the background *)
   chunk_limit : int; (* pending bytes that seal a chunk; flight recordings
                         shrink it so the ring turns over in small steps *)
   sink : sink_spec; (* where the trace streams while recording *)
@@ -86,7 +85,6 @@ val make_opts :
   ?seed:int ->
   ?max_events:int ->
   ?checksum_every:int ->
-  ?jobs:int ->
   ?chunk_limit:int ->
   ?sink:sink_spec ->
   ?dump_on:trigger list ->
@@ -94,8 +92,9 @@ val make_opts :
   opts
 (** [default_opts] with the given fields overridden, clamped to sane
     ranges ([timeslice_rcbs ≥ 1], [max_events ≥ 1], [checksum_every ≥
-    0], [jobs ≥ 1], [chunk_limit ≥ 256]; [dump_on] deduplicated).  The only supported way to
-    build an {!opts}. *)
+    0], [chunk_limit ≥ 256]; [dump_on] deduplicated).  [opts] is
+    private, so this, {!with_sink} and {!with_dump_on} are the only
+    ways to build one and the clamps are never bypassed. *)
 
 val with_sink : opts -> sink_spec -> opts
 (** [opts] with the sink replaced — how {!Flight.record} routes an
@@ -142,12 +141,13 @@ val record :
     Raises {!Record_error} on unsupported syscalls (§2.3.6 — the model
     must be extended), recording deadlock, the event-count guard
     ([Rec_failure]), or a trace-store/journal failure ([Rec_trace]).
-    On any failure the writer is aborted first: the deflate pool is
-    shut down and the sink closed, so a journaling recorder that dies
-    never leaks its journal fd (the salvageable prefix stays on disk).
+    On any failure the writer is aborted first: the sink is closed, so
+    a journaling recorder that dies never leaks its journal fd (the
+    salvageable prefix stays on disk).
 
-    [journal] is the deprecated spelling of [Sink_file]; it overrides
-    [opts.sink] when given.  New code selects the output through
+    [journal] streams to an arbitrary {!Io.writer} (fault injection, an
+    in-memory buffer), which no {!sink_spec} can name; it overrides
+    [opts.sink] when given.  Everything else selects the output through
     [opts.sink]. *)
 
 val run :
@@ -160,14 +160,3 @@ val run :
   unit ->
   (Trace.t * stats * Kernel.t, error) result
 (** {!record} with the failure as a value instead of an exception. *)
-
-val record_result :
-  ?opts:opts ->
-  ?on_stop:(Kernel.t -> unit) ->
-  ?on_event:(Event.t -> unit) ->
-  ?journal:Io.writer ->
-  setup:(Kernel.t -> unit) ->
-  exe:string ->
-  unit ->
-  (Trace.t * stats * Kernel.t, error) result
-[@@deprecated "use Recorder.run (same signature); confined to lib/rr"]

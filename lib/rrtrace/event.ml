@@ -152,11 +152,7 @@ let frame_pc e =
 
 (* ----- encoding ----------------------------------------------------
 
-   Two event encodings share the frame schema; the trace container's
-   header says which one its chunks use.
-
-   v1 — registers as a length-prefixed int array.
-   v2 — registers delta-coded against the same task's previous register
+   Registers are delta-coded against the same task's previous register
    image within the chunk: a 17-bit change mask, then one zigzag delta
    per changed slot.  Between consecutive frames of a task most slots
    are unchanged and the pc moves by a small amount, so a typical image
@@ -167,14 +163,9 @@ let frame_pc e =
 
 let nregs = 17
 
-type ectx = { version : int; prev : (int, int array) Hashtbl.t }
+type ectx = { prev : (int, int array) Hashtbl.t }
 
-let ectx ?(version = 1) () =
-  if version < 1 || version > 2 then
-    Fmt.invalid_arg "Event.ectx: unknown event-encoding version %d" version;
-  { version; prev = Hashtbl.create 8 }
-
-let ectx_version c = c.version
+let ectx () = { prev = Hashtbl.create 8 }
 
 let reset_ectx c = Hashtbl.reset c.prev
 
@@ -189,47 +180,43 @@ let prev_regs c key =
     p
 
 (* [key] is the task the image belongs to — deltas must never cross
-   tasks, whose register sets evolve independently. *)
+   tasks, whose register sets evolve independently.  The saved-bytes
+   counter compares against a plain length-prefixed int array. *)
 let put_regs c ~key b (r : regs) =
-  if c.version = 1 then Codec.put_array b Codec.put_int r
-  else begin
-    if Array.length r <> nregs then
-      Fmt.invalid_arg "Event.put_regs: %d slots, need %d" (Array.length r)
-        nregs;
-    let prev = prev_regs c key in
-    let mask = ref 0 in
-    for i = 0 to nregs - 1 do
-      if r.(i) <> prev.(i) then mask := !mask lor (1 lsl i)
-    done;
-    let before = Buffer.length b in
-    Codec.put_uvarint b !mask;
-    for i = 0 to nregs - 1 do
-      if !mask land (1 lsl i) <> 0 then begin
-        Codec.put_int b (r.(i) - prev.(i));
-        prev.(i) <- r.(i)
-      end
-    done;
-    let v1_cost = ref (Codec.uvarint_size nregs) in
-    for i = 0 to nregs - 1 do v1_cost := !v1_cost + Codec.int_size r.(i) done;
-    Telemetry.add tm_delta_saved (!v1_cost - (Buffer.length b - before))
-  end
+  if Array.length r <> nregs then
+    Fmt.invalid_arg "Event.put_regs: %d slots, need %d" (Array.length r) nregs;
+  let prev = prev_regs c key in
+  let mask = ref 0 in
+  for i = 0 to nregs - 1 do
+    if r.(i) <> prev.(i) then mask := !mask lor (1 lsl i)
+  done;
+  let before = Buffer.length b in
+  Codec.put_uvarint b !mask;
+  for i = 0 to nregs - 1 do
+    if !mask land (1 lsl i) <> 0 then begin
+      Codec.put_int b (r.(i) - prev.(i));
+      prev.(i) <- r.(i)
+    end
+  done;
+  let plain_cost = ref (Codec.uvarint_size nregs) in
+  for i = 0 to nregs - 1 do
+    plain_cost := !plain_cost + Codec.int_size r.(i)
+  done;
+  Telemetry.add tm_delta_saved (!plain_cost - (Buffer.length b - before))
 
 let get_regs c ~key s : regs =
-  if c.version = 1 then Codec.get_array s Codec.get_int
-  else begin
-    let prev = prev_regs c key in
-    let mask = Codec.get_uvarint s in
-    if mask lsr nregs <> 0 then
-      raise (Codec.Corrupt (Printf.sprintf "regs change mask %#x" mask));
-    let r = Array.copy prev in
-    for i = 0 to nregs - 1 do
-      if mask land (1 lsl i) <> 0 then begin
-        r.(i) <- prev.(i) + Codec.get_int s;
-        prev.(i) <- r.(i)
-      end
-    done;
-    r
-  end
+  let prev = prev_regs c key in
+  let mask = Codec.get_uvarint s in
+  if mask lsr nregs <> 0 then
+    raise (Codec.Corrupt (Printf.sprintf "regs change mask %#x" mask));
+  let r = Array.copy prev in
+  for i = 0 to nregs - 1 do
+    if mask land (1 lsl i) <> 0 then begin
+      r.(i) <- prev.(i) + Codec.get_int s;
+      prev.(i) <- r.(i)
+    end
+  done;
+  r
 
 let put_point c ~key b p =
   Codec.put_int b p.rcb;

@@ -123,23 +123,17 @@ val frame_pc : t -> int option
 
 (** {1 Frame codec}
 
-    Two event encodings share the frame schema; the trace container's
-    header says which one its chunks use.  v1 stores each register
-    image as a length-prefixed int array; v2 delta-codes it against
-    the same task's previous image within the chunk (a 17-bit change
-    mask plus one zigzag delta per changed slot).  Both directions
-    thread an {!ectx}, which carries the version and the per-task
-    delta state; {!reset_ectx} at every chunk boundary keeps chunks
-    independently decodable.  v1 contexts are stateless, so resetting
-    is always safe. *)
+    Each register image is delta-coded against the same task's previous
+    image within the chunk (a 17-bit change mask plus one zigzag delta
+    per changed slot).  Both directions thread an {!ectx}, which
+    carries the per-task delta state; {!reset_ectx} at every chunk
+    boundary keeps chunks independently decodable. *)
 
 type ectx
 
-val ectx : ?version:int -> unit -> ectx
-(** A fresh codec context.  [version] is 1 (default) or 2; anything
-    else raises [Invalid_argument]. *)
+val ectx : unit -> ectx
+(** A fresh codec context. *)
 
-val ectx_version : ectx -> int
 val reset_ectx : ectx -> unit
 
 val encode : ectx -> Codec.sink -> t -> unit

@@ -225,10 +225,16 @@ let load_object t key =
 
    payload: event_version, compressed, initial_exe, stats (the 9
    persisted fields), images [(path, key)], files [(path, total_len,
-   block keys)], chunks [(first_frame, n_frames, kinds, key)]. *)
+   block keys)], chunks [(first_frame, n_frames, kinds, key)].
+
+   The event-version field is always [manifest_event_version] (chunks
+   hold delta-coded registers); it stays in the layout so manifest
+   bytes, and with them content addresses and fleet dedup, do not
+   shift.  Any other value is rejected on load. *)
+
+let manifest_event_version = 2
 
 type manifest = {
-  m_event_version : int;
   m_compressed : bool;
   m_initial_exe : string;
   m_stats : Trace.stats;
@@ -260,7 +266,7 @@ let get_manifest_stats s : Trace.stats =
 
 let encode_manifest m =
   let b = Codec.sink () in (* chunk-lifecycle *)
-  Codec.put_uvarint b m.m_event_version;
+  Codec.put_uvarint b manifest_event_version;
   Codec.put_bool b m.m_compressed;
   Codec.put_string b m.m_initial_exe;
   put_manifest_stats b m.m_stats;
@@ -316,7 +322,12 @@ let decode_manifest ~name data =
       else
         try
           let s = Codec.source payload in
-          let m_event_version = Codec.get_uvarint s in
+          let event_version = Codec.get_uvarint s in
+          if event_version <> manifest_event_version then
+            raise
+              (Codec.Corrupt
+                 (Fmt.str "event encoding version %d, this build reads %d"
+                    event_version manifest_event_version));
           let m_compressed = Codec.get_bool s in
           let m_initial_exe = Codec.get_string s in
           let m_stats = get_manifest_stats s in
@@ -343,7 +354,7 @@ let decode_manifest ~name data =
           in
           if not (Codec.eof s) then raise (Codec.Corrupt "trailing bytes");
           Ok
-            { m_event_version; m_compressed; m_initial_exe; m_stats; m_images;
+            { m_compressed; m_initial_exe; m_stats; m_images;
               m_files; m_chunks }
         with Codec.Corrupt msg -> fail msg
     end
@@ -385,7 +396,7 @@ let encode_image img =
   Buffer.contents b
 
 (* Store every part; caller holds [t.lock].  Raises {!Io.Io_error}. *)
-let store_parts_exn t ~event_version ~compressed ~initial_exe ~stats ~chunks
+let store_parts_exn t ~compressed ~initial_exe ~stats ~chunks
     ~images ~files =
   let acc =
     ref { new_objects = 0; shared_objects = 0; new_bytes = 0; shared_bytes = 0 }
@@ -403,8 +414,7 @@ let store_parts_exn t ~event_version ~compressed ~initial_exe ~stats ~chunks
         (p, String.length data, List.map store (split_blocks data)))
       files
   in
-  ( { m_event_version = event_version; m_compressed = compressed;
-      m_initial_exe = initial_exe; m_stats = stats; m_images; m_files;
+  ( { m_compressed = compressed; m_initial_exe = initial_exe; m_stats = stats; m_images; m_files;
       m_chunks },
     !acc )
 
@@ -420,9 +430,7 @@ let store_trace t ~name trace =
                  Trace.chunk_stored trace i ))
       in
       let manifest, acc =
-        store_parts_exn t
-          ~event_version:(Trace.event_version trace)
-          ~compressed:(Trace.compressed trace)
+        store_parts_exn t ~compressed:(Trace.compressed trace)
           ~initial_exe:(Trace.initial_exe trace)
           ~stats:(Trace.stats trace) ~chunks ~images:(Trace.images trace)
           ~files:(Trace.files trace)
@@ -474,7 +482,7 @@ let rec map_result f = function
     let* ys = map_result f rest in
     Ok (y :: ys)
 
-let load_trace ?opts t ~name =
+let load_trace t ~name =
   let* m = with_lock t (fun () -> read_manifest t name) in
   let* images =
     map_result
@@ -499,8 +507,7 @@ let load_trace ?opts t ~name =
       m.m_chunks
   in
   match
-    Trace.of_parts ?opts ~event_version:m.m_event_version
-      ~origin:(manifest_path t name) ~compressed:m.m_compressed
+    Trace.of_parts ~origin:(manifest_path t name) ~compressed:m.m_compressed
       ~initial_exe:m.m_initial_exe
       ~chunks:(Array.of_list chunks)
       ~images ~files ~stats:m.m_stats ()
@@ -677,7 +684,7 @@ let pp_stats ppf s =
    the manifest.  A recording killed mid-run therefore leaves orphan
    objects and no manifest. *)
 type sink_state = {
-  mutable ss_header : (bool * string * int) option;
+  mutable ss_header : (bool * string) option;
   mutable ss_images : (string * string) list; (* reversed (path, key) *)
   ss_files : (string, Buffer.t) Hashtbl.t;
   mutable ss_chunks : (int * int * int * string) list; (* reversed *)
@@ -697,8 +704,8 @@ let sink t ~name =
   let store data = with_lock t (fun () -> store_object_exn t ss.ss_acc data) in
   let put (ev : Trace.Sink.event) =
     match ev with
-    | Trace.Sink.Header { compressed; initial_exe; event_version } ->
-      ss.ss_header <- Some (compressed, initial_exe, event_version)
+    | Trace.Sink.Header { compressed; initial_exe } ->
+      ss.ss_header <- Some (compressed, initial_exe)
     | Trace.Sink.Image { path; img } ->
       ss.ss_images <- (path, store (encode_image img)) :: ss.ss_images
     | Trace.Sink.File_delta { path; offset; data } ->
@@ -722,10 +729,10 @@ let sink t ~name =
     | Trace.Sink.Journal _ -> ()
   in
   let commit (stats : Trace.stats) (_ : Trace.chunk_info array) =
-    let compressed, initial_exe, event_version =
+    let compressed, initial_exe =
       match ss.ss_header with
       | Some h -> h
-      | None -> (false, "<unknown>", 2) (* unreachable: Header precedes commit *)
+      | None -> (false, "<unknown>") (* unreachable: Header precedes commit *)
     in
     let m_files =
       Hashtbl.fold (fun p b acc -> (p, Buffer.contents b) :: acc) ss.ss_files []
@@ -735,8 +742,8 @@ let sink t ~name =
                List.map (fun blk -> store blk) (split_blocks data) ))
     in
     let manifest =
-      { m_event_version = event_version; m_compressed = compressed;
-        m_initial_exe = initial_exe; m_stats = stats;
+      { m_compressed = compressed; m_initial_exe = initial_exe;
+        m_stats = stats;
         m_images = List.rev ss.ss_images; m_files;
         m_chunks = List.rev ss.ss_chunks }
     in
@@ -757,7 +764,6 @@ let verify t =
   List.fold_left
     (fun acc name ->
       let* () = acc in
-      let* trace = load_trace t ~name in
-      Trace.close trace;
+      let* _ = load_trace t ~name in
       Ok ())
     (Ok ()) (list t)

@@ -66,8 +66,7 @@ val store_trace : t -> name:string -> Trace.t -> (store_result, error) result
     manifest [traces/<name>] atomically (tmp + rename).  Re-storing
     under an existing name replaces that manifest. *)
 
-val load_trace :
-  ?opts:Trace.opts -> t -> name:string -> (Trace.t, error) result
+val load_trace : t -> name:string -> (Trace.t, error) result
 (** Rebuild a trace from its manifest: every referenced object is
     loaded and verified against its key, file blocks are reassembled,
     and the parts go through {!Trace.of_parts} — so a loaded trace

@@ -39,7 +39,6 @@ let check_tags ~tags trace =
 let shard_writer trace =
   let w =
     Trace.Writer.create ~compress:(Trace.compressed trace)
-      ~event_version:(Trace.event_version trace)
       ~initial_exe:(Trace.initial_exe trace) ()
   in
   List.iter
@@ -200,5 +199,5 @@ let list repo ~base =
     | data -> decode_catalog ~base data
     | exception Io.Io_error e -> Error (Repo.Io e)
 
-let load ?opts repo ~base ~conn =
-  Repo.load_trace ?opts repo ~name:(shard_name ~base ~conn)
+let load repo ~base ~conn =
+  Repo.load_trace repo ~name:(shard_name ~base ~conn)

@@ -63,7 +63,5 @@ val split :
 val list : Repo.t -> base:string -> (info list, Repo.error) result
 (** Read the catalog written by {!split}. *)
 
-val load :
-  ?opts:Trace.opts -> Repo.t -> base:string -> conn:int ->
-  (Trace.t, Repo.error) result
+val load : Repo.t -> base:string -> conn:int -> (Trace.t, Repo.error) result
 (** Open one shard as a standalone trace. *)

@@ -14,13 +14,9 @@
    the property the debugger's checkpoint/reverse-execution substrate
    (paper §6.1) leans on.
 
-   Multicore pipeline ({!opts}): with [jobs > 1] the writer hands each
-   sealed chunk to a {!Pool} of worker domains and collects the
-   deflated bytes in submission order — compression runs on spare cores
-   while recording continues, the way real rr hides its deflate cost
-   (§2.7).  With [readahead > 0] the reader prefetches and inflates the
-   next chunks in the background.  Deflate is per-chunk deterministic,
-   so the parallel and serial writers produce byte-identical traces.
+   One serial pipeline: the writer deflates each chunk as it seals it,
+   and the reader inflates a chunk on first access.  A trace value
+   belongs to one domain; nothing in it is shared or locked.
 
    Durability (paper §2.7 "deployability" read as: a trace must survive
    the process that wrote it): all persistence flows through the
@@ -69,8 +65,6 @@ let tm_chunk_flush = Telemetry.counter "trace.chunk.flush"
 let tm_deflate_ratio = Telemetry.histogram "trace.deflate.ratio_pct"
 let tm_deflate = Telemetry.span "trace.deflate"
 let tm_inflate = Telemetry.span "trace.inflate"
-let tm_prefetch_hit = Telemetry.counter "reader.prefetch_hit"
-let tm_prefetch_miss = Telemetry.counter "reader.prefetch_miss"
 let tm_crc_fail = Telemetry.counter "trace.crc_fail"
 let tm_salvage_runs = Telemetry.counter "salvage.runs"
 let tm_salvage_chunks = Telemetry.counter "salvage.chunks_recovered"
@@ -91,19 +85,11 @@ type error =
 
 exception Format_error of error
 
-let format_version = 3
-
-(* Same container, delta-coded registers inside the chunks (event
-   encoding v2).  The header's version field is the negotiation point:
-   3 = event-encoding v1, 4 = v2.  Builds predating v2 reject a
-   version-4 file with a clean [Version_skew] instead of misdecoding
-   its chunks. *)
-let format_version_delta = 4
-
-let header_version_of_event_version ev =
-  if ev >= 2 then format_version_delta else format_version
-
-let default_event_version = 2
+(* The header's version field.  4 is the v3 record stream with
+   delta-coded registers inside the chunks; a header saying 3 (plain
+   register arrays) is reported as [Version_skew], like the older
+   RRTRACE1/RRTRACE2 containers. *)
+let format_version = 4
 
 let pp_error ppf = function
   | Truncated { path; detail } ->
@@ -118,76 +104,45 @@ let pp_error ppf = function
 
 let error_to_string e = Fmt.str "%a" pp_error e
 
-(* ---- pipeline options ------------------------------------------------ *)
-
-type opts = {
-  jobs : int; (* worker domains for chunk deflate / readahead inflate *)
-  readahead : int; (* chunks the reader prefetches past the last access *)
-}
-
-let default_opts = { jobs = 1; readahead = 0 }
-
-let make_opts ?(jobs = default_opts.jobs)
-    ?(readahead = default_opts.readahead) () =
-  { jobs = max 1 jobs; readahead = max 0 readahead }
-
 type chunk_info = {
   first_frame : int;
   n_frames : int;
   byte_offset : int; (* into the concatenated stored-chunk stream *)
   stored_len : int;
   kinds : int; (* OR of Event.kind_bit for every frame in the chunk *)
-  crc32 : int; (* CRC-32 of the stored bytes; 0 = unknown (v2 trace) *)
+  crc32 : int; (* CRC-32 of the stored bytes *)
 }
 
 type t = {
   index : chunk_info array;
   chunks : string array; (* stored (possibly deflated) chunk bytes *)
   compressed : bool;
-  event_version : int; (* chunk event encoding: 1 = arrays, 2 = deltas *)
   images : (string, Image.t) Hashtbl.t; (* trace path -> executable image *)
   files : (string, string) Hashtbl.t; (* trace path -> snapshotted bytes *)
   stats : stats;
   initial_exe : string;
-  trusted : bool; (* no per-chunk CRCs (pre-v3 file): unchecked reads *)
   origin : string; (* path the trace was loaded from, for error context *)
   (* LRU of decoded chunks, shared by every cursor over this trace; MRU
      first.  [chunk_decodes] counts cache misses — the number of chunks
-     actually inflated+decoded, which tests use to prove laziness.
-     All of the fields below are guarded by [lock]: readahead workers
-     insert decoded chunks concurrently with the main thread. *)
+     actually inflated+decoded, which tests use to prove laziness. *)
   mutable cache : (int * Event.t array) list;
   mutable chunk_decodes : int;
   mutable sidecar : Trace_index.t option; (* derived index, if built *)
-  mutable opts : opts;
-  lock : Mutex.t;
-  cv : Condition.t; (* signaled when a prefetch lands or fails *)
-  inflight : (int, unit) Hashtbl.t; (* chunk idx -> being prefetched *)
-  prefetched : (int, unit) Hashtbl.t; (* inserted by a worker, untouched *)
-  mutable rpool : Pool.t option; (* lazily created readahead pool *)
 }
 
-let make_t ?(trusted = false) ?(origin = "<memory>") ?(event_version = 1)
-    ~index ~chunks ~compressed ~images ~files ~stats ~initial_exe ~opts () =
+let make_t ?(origin = "<memory>") ~index ~chunks ~compressed ~images ~files
+    ~stats ~initial_exe () =
   { index;
     chunks;
     compressed;
-    event_version;
     images;
     files;
     stats;
     initial_exe;
-    trusted;
     origin;
     cache = [];
     chunk_decodes = 0;
-    sidecar = None;
-    opts;
-    lock = Mutex.create ();
-    cv = Condition.create ();
-    inflight = Hashtbl.create 8;
-    prefetched = Hashtbl.create 8;
-    rpool = None }
+    sidecar = None }
 
 let default_chunk_limit = 1 lsl 16
 let cache_slots = 8
@@ -231,8 +186,10 @@ let cache_slots = 8
    territory. *)
 
 let magic_v3 = "RRTRACE3"
-let magic_v2 = "RRTRACE2"
-let magic_v1 = "RRTRACE1"
+
+(* Older containers: recognised only to be rejected with
+   [Version_skew], never read. *)
+let legacy_magics = [ ("RRTRACE1", 1); ("RRTRACE2", 2) ]
 let footer_magic = "RRCOMMIT"
 
 (* How many chunks a journaling writer streams between 'J' records. *)
@@ -302,9 +259,9 @@ let get_chunk_info s =
   let crc32 = Codec.get_uvarint s in
   { first_frame; n_frames; byte_offset; stored_len; kinds; crc32 }
 
-let header_payload ~compressed ~initial_exe ~event_version =
+let header_payload ~compressed ~initial_exe =
   let b = Codec.sink () in (* chunk-lifecycle *)
-  Codec.put_uvarint b (header_version_of_event_version event_version);
+  Codec.put_uvarint b format_version;
   Codec.put_bool b compressed;
   Codec.put_string b initial_exe;
   Buffer.contents b
@@ -365,7 +322,7 @@ type trace = t
 
 module Sink = struct
   type event =
-    | Header of { compressed : bool; initial_exe : string; event_version : int }
+    | Header of { compressed : bool; initial_exe : string }
     | Image of { path : string; img : Image.t }
     | File_delta of { path : string; offset : int; data : string }
     | Chunk of { first_frame : int; n_frames : int; kinds : int; stored : string }
@@ -397,10 +354,9 @@ module Sink = struct
      salvageable prefix. *)
   let of_io io =
     let put = function
-      | Header { compressed; initial_exe; event_version } ->
+      | Header { compressed; initial_exe } ->
         Io.write io magic_v3;
-        write_record io ~tag:tag_header
-          (header_payload ~compressed ~initial_exe ~event_version)
+        write_record io ~tag:tag_header (header_payload ~compressed ~initial_exe)
       | Image { path; img } ->
         write_record io ~tag:tag_image (image_payload ~path img)
       | File_delta { path; offset; data } ->
@@ -446,7 +402,7 @@ type ring = {
   mutable r_dropped_chunks : int;
   mutable r_dropped_frames : int;
   mutable r_group : int; (* current (still-open) watermark group *)
-  mutable r_header : (bool * string * int) option;
+  mutable r_header : (bool * string) option; (* compressed, initial exe *)
   r_images : (string, Image.t) Hashtbl.t;
   r_files : (string, string) Hashtbl.t;
   mutable r_stats : stats option; (* newest journaled stats snapshot *)
@@ -488,8 +444,8 @@ let ring_drop_front r =
   Telemetry.incr tm_ring_dropped
 
 let ring_put r = function
-  | Sink.Header { compressed; initial_exe; event_version } ->
-    r.r_header <- Some (compressed, initial_exe, event_version)
+  | Sink.Header { compressed; initial_exe } ->
+    r.r_header <- Some (compressed, initial_exe)
   | Sink.Image { path; img } -> Hashtbl.replace r.r_images path img
   | Sink.File_delta { path; offset; data } ->
     let current =
@@ -531,11 +487,9 @@ let ring_put r = function
    ([rr_base_frame = 0]); a truncated window is still decodable,
    saveable and salvageable — DESIGN.md §4j spells out the
    limitation. *)
-let ring_trace ?(opts = default_opts) r =
-  let compressed, initial_exe, event_version =
-    match r.r_header with
-    | Some h -> h
-    | None -> (true, "", default_event_version)
+let ring_trace r =
+  let compressed, initial_exe =
+    match r.r_header with Some h -> h | None -> (true, "")
   in
   let entries = Array.of_seq (Queue.to_seq r.r_q) in
   let n = Array.length entries in
@@ -565,9 +519,9 @@ let ring_trace ?(opts = default_opts) r =
   stats.n_chunks <- n;
   stats.compressed_bytes <- !off;
   let t =
-    make_t ~origin:"<ring>" ~event_version ~index ~chunks ~compressed
+    make_t ~origin:"<ring>" ~index ~chunks ~compressed
       ~images:(Hashtbl.copy r.r_images) ~files:(Hashtbl.copy r.r_files)
-      ~stats ~initial_exe ~opts ()
+      ~stats ~initial_exe ()
   in
   ( t,
     { rr_base_frame = base;
@@ -587,18 +541,6 @@ let ring_sink r =
   }
 
 module Writer = struct
-  (* A sealed chunk: its frames are fixed, its stored bytes may still be
-     in flight on a worker domain.  Sealed chunks are consumed — index
-     entry built, bytes journaled — strictly in submission order, so the
-     parallel and serial paths emit identical files. *)
-  type sealed = {
-    s_first_frame : int;
-    s_n_frames : int;
-    s_kinds : int;
-    s_raw_len : int;
-    s_stored : string Pool.future;
-  }
-
   (* Incremental-sink state: the trace streams to [s_sink] *while it is
      being recorded*, so a writer killed mid-record leaves a salvageable
      record-stream prefix (file sink), a live ring window (ring sink) or
@@ -613,8 +555,7 @@ module Writer = struct
   }
 
   type w = {
-    sealed_q : sealed Queue.t; (* flushed, not yet consumed *)
-    mutable acc_chunks : string list; (* consumed stored bytes, reversed *)
+    mutable acc_chunks : string list; (* sealed stored bytes, reversed *)
     mutable acc_index : chunk_info list; (* reversed *)
     mutable acc_off : int; (* running byte_offset *)
     mutable pending : Codec.sink;
@@ -628,16 +569,13 @@ module Writer = struct
     stats : stats;
     mutable exe : string;
     compress : bool;
-    opts : opts;
-    pool : Pool.t; (* inline when opts.jobs = 1: the serial path *)
     sink : sstate option;
-    bounded : bool; (* bounded sink: consumed chunk bytes are not kept *)
+    bounded : bool; (* bounded sink: sealed chunk bytes are not kept *)
     mutable closed : bool; (* finish or abort already ran *)
   }
 
-  let create ?(compress = true) ?(chunk_limit = default_chunk_limit)
-      ?(opts = default_opts) ?journal ?sink
-      ?(event_version = default_event_version) ~initial_exe () =
+  let create ?(compress = true) ?(chunk_limit = default_chunk_limit) ?journal
+      ?sink ~initial_exe () =
     (* [?journal] remains as sugar for the streaming file sink; an
        explicit [?sink] wins when both are given. *)
     let sink =
@@ -653,17 +591,14 @@ module Writer = struct
       match sink with
       | None -> None
       | Some s ->
-        s.Sink.sk_put
-          (Sink.Header
-             { compressed = compress; initial_exe; event_version });
+        s.Sink.sk_put (Sink.Header { compressed = compress; initial_exe });
         Some { s_sink = s; j_since_mark = 0; j_marks = Hashtbl.create 8 }
     in
-    { sealed_q = Queue.create ();
-      acc_chunks = [];
+    { acc_chunks = [];
       acc_index = [];
       acc_off = 0;
       pending = Codec.sink (); (* chunk-lifecycle *)
-      ectx = Event.ectx ~version:event_version ();
+      ectx = Event.ectx ();
       pending_frames = 0;
       pending_kinds = 0;
       frames_flushed = 0;
@@ -673,8 +608,6 @@ module Writer = struct
       stats = new_stats ();
       exe = initial_exe;
       compress;
-      opts;
-      pool = Pool.create ~jobs:opts.jobs ();
       sink;
       bounded;
       closed = false }
@@ -712,62 +645,10 @@ module Writer = struct
         end)
       paths
 
-  (* Consume one sealed chunk whose stored bytes are ready: build its
-     index entry (with CRC), account compression, and — with a sink —
-     stream it out behind its file deltas.  A bounded sink owns the
-     chunk bytes from here on; the writer keeps only the index entry. *)
-  let consume w s stored =
-    let stored_len = String.length stored in
-    w.stats.compressed_bytes <- w.stats.compressed_bytes + stored_len;
-    if s.s_raw_len > 0 then
-      Telemetry.observe tm_deflate_ratio (stored_len * 100 / s.s_raw_len);
-    let ci =
-      { first_frame = s.s_first_frame;
-        n_frames = s.s_n_frames;
-        byte_offset = w.acc_off;
-        stored_len;
-        kinds = s.s_kinds;
-        crc32 = Crc32.string stored }
-    in
-    w.acc_off <- w.acc_off + stored_len;
-    if not w.bounded then w.acc_chunks <- stored :: w.acc_chunks;
-    w.acc_index <- ci :: w.acc_index;
-    match w.sink with
-    | None -> ()
-    | Some j ->
-      journal_files w j;
-      j.s_sink.Sink.sk_put
-        (Sink.Chunk
-           { first_frame = ci.first_frame;
-             n_frames = ci.n_frames;
-             kinds = ci.kinds;
-             stored });
-      j.j_since_mark <- j.j_since_mark + 1;
-      if j.j_since_mark >= journal_interval then begin
-        j.s_sink.Sink.sk_put (Sink.Journal w.stats);
-        j.j_since_mark <- 0
-      end
-
-  (* Drain ready sealed chunks in submission order.  Non-blocking mode
-     (journal path, called as recording continues) stops at the first
-     still-deflating chunk instead of stalling the recorder behind a
-     worker domain; [finish] drains blocking. *)
-  let drain ~block w =
-    let continue = ref true in
-    while !continue && not (Queue.is_empty w.sealed_q) do
-      let s = Queue.peek w.sealed_q in
-      if block || Pool.is_ready s.s_stored then begin
-        ignore (Queue.pop w.sealed_q);
-        consume w s (Pool.await s.s_stored)
-      end
-      else continue := false
-    done
-
-  (* Seal the pending frames as one chunk and hand the deflate to the
-     pool.  With one job the submit runs inline — byte-for-byte the old
-     synchronous path; with more, the bounded pool queue provides
-     backpressure so recording can never outrun the compressors by more
-     than a few chunks. *)
+  (* Seal the pending frames as one chunk: deflate it, build its index
+     entry (with CRC), account compression, and — with a sink — stream it
+     out behind its file deltas.  A bounded sink owns the chunk bytes
+     from here on; the writer keeps only the index entry. *)
   let flush_chunk w =
     if w.pending_frames > 0 then begin
       let raw = Buffer.contents w.pending in
@@ -776,25 +657,46 @@ module Writer = struct
          decoder starts every chunk from a fresh context. *)
       Event.reset_ectx w.ectx;
       Telemetry.incr tm_chunk_flush;
-      let compress = w.compress in
       let stored =
-        Pool.submit w.pool (fun () ->
-            if compress then
-              Telemetry.timed tm_deflate (fun () -> Compress.deflate raw)
-            else Timeline.scope "trace.store" (fun () -> raw))
+        if w.compress then
+          Telemetry.timed tm_deflate (fun () -> Compress.deflate raw)
+        else Timeline.scope "trace.store" (fun () -> raw)
       in
+      let stored_len = String.length stored in
       w.stats.n_chunks <- w.stats.n_chunks + 1;
-      Queue.push
-        { s_first_frame = w.frames_flushed;
-          s_n_frames = w.pending_frames;
-          s_kinds = w.pending_kinds;
-          s_raw_len = String.length raw;
-          s_stored = stored }
-        w.sealed_q;
+      w.stats.compressed_bytes <- w.stats.compressed_bytes + stored_len;
+      if raw <> "" then
+        Telemetry.observe tm_deflate_ratio
+          (stored_len * 100 / String.length raw);
+      let ci =
+        { first_frame = w.frames_flushed;
+          n_frames = w.pending_frames;
+          byte_offset = w.acc_off;
+          stored_len;
+          kinds = w.pending_kinds;
+          crc32 = Crc32.string stored }
+      in
       w.frames_flushed <- w.frames_flushed + w.pending_frames;
       w.pending_frames <- 0;
       w.pending_kinds <- 0;
-      if Option.is_some w.sink then drain ~block:false w
+      w.acc_off <- w.acc_off + stored_len;
+      if not w.bounded then w.acc_chunks <- stored :: w.acc_chunks;
+      w.acc_index <- ci :: w.acc_index;
+      match w.sink with
+      | None -> ()
+      | Some j ->
+        journal_files w j;
+        j.s_sink.Sink.sk_put
+          (Sink.Chunk
+             { first_frame = ci.first_frame;
+               n_frames = ci.n_frames;
+               kinds = ci.kinds;
+               stored });
+        j.j_since_mark <- j.j_since_mark + 1;
+        if j.j_since_mark >= journal_interval then begin
+          j.s_sink.Sink.sk_put (Sink.Journal w.stats);
+          j.j_since_mark <- 0
+        end
     end
 
   (* Append one frame; returns the serialized size (for cost charging). *)
@@ -856,54 +758,46 @@ module Writer = struct
 
   let find_file w path = Hashtbl.find_opt w.files path
 
-  (* Await every in-flight deflate in chunk order, assemble the index,
-     and — with a sink — commit: final file deltas, then the sink's own
-     commit step (trailer + footer + close for the file sink, the
-     manifest for the repo sink).  The pool is shut down even if the
-     sink fails mid-commit, so worker domains never leak; the
-     {!Io.Io_error} propagates to the caller (the recorder wraps it in
-     its own typed error), and whatever prefix reached the sink is
-     salvage input.  A bounded sink supplies the resulting trace — the
-     retained ring window — since the writer kept no chunk bytes. *)
+  (* Seal the last chunk, assemble the index, and — with a sink —
+     commit: final file deltas, then the sink's own commit step
+     (trailer + footer + close for the file sink, the manifest for the
+     repo sink).  A sink failure propagates as {!Io.Io_error} to the
+     caller (the recorder wraps it in its own typed error), and
+     whatever prefix reached the sink is salvage input.  A bounded sink
+     supplies the resulting trace — the retained ring window — since
+     the writer kept no chunk bytes. *)
   let finish w =
     Timeline.scope "trace.commit" @@ fun () ->
-    Fun.protect
-      ~finally:(fun () -> Pool.shutdown w.pool)
-      (fun () ->
-        flush_chunk w;
-        drain ~block:true w;
-        let index = Array.of_list (List.rev w.acc_index) in
-        let chunks = Array.of_list (List.rev w.acc_chunks) in
-        (match w.sink with
-        | None -> ()
-        | Some j ->
-          journal_files w j;
-          j.s_sink.Sink.sk_commit w.stats index);
-        w.closed <- true;
-        let bounded_result =
-          match w.sink with
-          | Some j when w.bounded -> j.s_sink.Sink.sk_result ()
-          | Some _ | None -> None
-        in
-        match bounded_result with
-        | Some t -> t
-        | None ->
-          make_t ~event_version:(Event.ectx_version w.ectx) ~index ~chunks
-            ~compressed:w.compress ~images:w.images ~files:w.files
-            ~stats:w.stats ~initial_exe:w.exe ~opts:w.opts ())
+    flush_chunk w;
+    let index = Array.of_list (List.rev w.acc_index) in
+    let chunks = Array.of_list (List.rev w.acc_chunks) in
+    (match w.sink with
+    | None -> ()
+    | Some j ->
+      journal_files w j;
+      j.s_sink.Sink.sk_commit w.stats index);
+    w.closed <- true;
+    let bounded_result =
+      match w.sink with
+      | Some j when w.bounded -> j.s_sink.Sink.sk_result ()
+      | Some _ | None -> None
+    in
+    match bounded_result with
+    | Some t -> t
+    | None ->
+      make_t ~index ~chunks ~compressed:w.compress ~images:w.images
+        ~files:w.files ~stats:w.stats ~initial_exe:w.exe ()
 
-  (* Release a writer without committing: shut the deflate pool down and
-     close the sink (for the file sink, the journal fd — the leak a
-     killed recording used to leave behind).  Idempotent, and safe after
-     a failed [finish]; never raises on sink close errors, because abort
-     runs on error paths. *)
+  (* Release a writer without committing: close the sink (for the file
+     sink, the journal fd — the leak a killed recording used to leave
+     behind).  Idempotent, and safe after a failed [finish]; never
+     raises on sink close errors, because abort runs on error paths. *)
   let abort w =
     if not w.closed then begin
       w.closed <- true;
-      (match w.sink with
-      | Some j -> (try j.s_sink.Sink.sk_close () with _ -> ())
-      | None -> ());
-      Pool.shutdown w.pool
+      match w.sink with
+      | Some j -> ( try j.s_sink.Sink.sk_close () with _ -> ())
+      | None -> ()
     end
 end
 
@@ -915,15 +809,9 @@ let chunk_index t = t.index
 
 let decoded_chunks t = t.chunk_decodes
 
-let get_opts t = t.opts
-
 let initial_exe t = t.initial_exe
 
-let event_version t = t.event_version
-
 let compressed t = t.compressed
-
-let integrity t = if t.trusted then `Trusted else `Crc_checked
 
 let index t = t.sidecar
 
@@ -934,17 +822,6 @@ let set_index t ix =
   t.sidecar <- Some ix
 
 let drop_index t = t.sidecar <- None
-
-(* Reconfigure the pipeline of an already-built trace (e.g. enable
-   readahead on a loaded trace before replaying it).  A live readahead
-   pool with the wrong worker count is retired first. *)
-let set_opts t opts =
-  (match t.rpool with
-  | Some p when Pool.jobs p <> opts.jobs ->
-    Pool.shutdown p;
-    t.rpool <- None
-  | Some _ | None -> ());
-  t.opts <- opts
 
 let image t path =
   match Hashtbl.find_opt t.images path with
@@ -959,7 +836,7 @@ let file t path =
 (* ---- chunk decoding (the only path from stored bytes to frames) ----- *)
 
 let decode_chunk_raw t ~idx ci stored =
-  if ci.crc32 <> 0 && Crc32.string stored <> ci.crc32 then begin
+  if Crc32.string stored <> ci.crc32 then begin
     Telemetry.incr tm_crc_fail;
     raise (Format_error (Chunk_crc idx))
   end;
@@ -970,7 +847,7 @@ let decode_chunk_raw t ~idx ci stored =
       else stored
     in
     let s = Codec.source raw in
-    let ectx = Event.ectx ~version:t.event_version () in
+    let ectx = Event.ectx () in
     let out = Array.make ci.n_frames Event.(E_exit { tid = 0; status = 0 }) in
     for i = 0 to ci.n_frames - 1 do
       out.(i) <- Event.decode ectx s
@@ -988,135 +865,31 @@ let decode_chunk_raw t ~idx ci stored =
                 Fmt.str "corrupt chunk %d at frame %d: %s" idx ci.first_frame
                   msg }))
 
-(* Effective LRU capacity: a deep readahead must not evict the chunks
-   it just prefetched. *)
-let lru_slots t = max cache_slots (t.opts.readahead + 2)
-
-(* Insert a freshly decoded chunk; caller holds [t.lock].  No-op if a
-   racing decode beat us to it. *)
-let cache_insert t ci_idx frames =
-  if not (List.mem_assoc ci_idx t.cache) then begin
+(* Fetch chunk [ci_idx] decoded, through the LRU: a hit moves it to the
+   front, a miss inflates it and evicts the least recently used chunk
+   past [cache_slots]. *)
+let chunk_frames t ci_idx =
+  match List.assoc_opt ci_idx t.cache with
+  | Some frames ->
+    t.stats.lru_hits <- t.stats.lru_hits + 1;
+    Telemetry.incr tm_chunk_hit;
+    t.cache <- (ci_idx, frames) :: List.remove_assoc ci_idx t.cache;
+    frames
+  | None ->
+    let frames =
+      decode_chunk_raw t ~idx:ci_idx t.index.(ci_idx) t.chunks.(ci_idx)
+    in
     t.chunk_decodes <- t.chunk_decodes + 1;
     t.stats.lru_misses <- t.stats.lru_misses + 1;
     Telemetry.incr tm_chunk_miss;
     t.cache <- (ci_idx, frames) :: t.cache;
-    let slots = lru_slots t in
-    if List.length t.cache > slots then begin
+    if List.length t.cache > cache_slots then begin
       t.stats.lru_evictions <-
-        t.stats.lru_evictions + (List.length t.cache - slots);
+        t.stats.lru_evictions + (List.length t.cache - cache_slots);
       Telemetry.incr tm_chunk_evict;
-      t.cache <- List.filteri (fun i _ -> i < slots) t.cache
-    end
-  end
-
-(* Background inflate of chunk [j].  A corrupt chunk is left alone: the
-   on-demand path will decode it again and raise {!Format_error} with
-   frame context on the thread that actually asked for it, keeping
-   error behavior identical to readahead = 0. *)
-let prefetch_task t j () =
-  match decode_chunk_raw t ~idx:j t.index.(j) t.chunks.(j) with
-  | frames ->
-    Mutex.lock t.lock;
-    Hashtbl.remove t.inflight j;
-    cache_insert t j frames;
-    Hashtbl.replace t.prefetched j ();
-    Condition.broadcast t.cv;
-    Mutex.unlock t.lock
-  | exception Format_error _ ->
-    Mutex.lock t.lock;
-    Hashtbl.remove t.inflight j;
-    Condition.broadcast t.cv;
-    Mutex.unlock t.lock
-
-(* Release the background decode pool (idempotent).  The trace stays
-   readable — the next prefetch recreates the pool on demand.  Without
-   this, a process that opens many traces with [readahead > 0] (the
-   fault matrix, a salvage sweep over a crash dump directory) leaks one
-   worker-domain set per trace until the runtime refuses to spawn
-   more. *)
-let close t =
-  Mutex.lock t.lock;
-  let p = t.rpool in
-  t.rpool <- None;
-  Hashtbl.reset t.inflight;
-  Mutex.unlock t.lock;
-  match p with None -> () | Some p -> Pool.shutdown p
-
-let reader_pool_unlocked t =
-  match t.rpool with
-  | Some p -> p
-  | None ->
-    let p =
-      Pool.create ~jobs:t.opts.jobs
-        ~queue_limit:(max 2 (2 * t.opts.readahead)) ()
-    in
-    t.rpool <- Some p;
-    p
-
-(* Queue background inflates for the [readahead] chunks after
-   [served_idx].  Submission happens outside [t.lock]: with an inline
-   (one-job) pool the task runs immediately and takes the lock itself. *)
-let maybe_prefetch t served_idx =
-  if t.opts.readahead > 0 then begin
-    Mutex.lock t.lock;
-    let n = Array.length t.index in
-    let want = ref [] in
-    for j = min (n - 1) (served_idx + t.opts.readahead) downto served_idx + 1
-    do
-      if (not (List.mem_assoc j t.cache)) && not (Hashtbl.mem t.inflight j)
-      then begin
-        Hashtbl.replace t.inflight j ();
-        want := j :: !want
-      end
-    done;
-    let pool = reader_pool_unlocked t in
-    Mutex.unlock t.lock;
-    List.iter (fun j -> ignore (Pool.submit pool (prefetch_task t j))) !want
-  end
-
-(* Fetch chunk [ci_idx] decoded, through the LRU.  If a readahead
-   worker already has the chunk in flight, wait for it instead of
-   inflating the same bytes twice. *)
-let chunk_frames t ci_idx =
-  let ra_on = t.opts.readahead > 0 in
-  Mutex.lock t.lock;
-  let rec get () =
-    match List.assoc_opt ci_idx t.cache with
-    | Some frames ->
-      (* move to front *)
-      t.stats.lru_hits <- t.stats.lru_hits + 1;
-      Telemetry.incr tm_chunk_hit;
-      if Hashtbl.mem t.prefetched ci_idx then begin
-        Hashtbl.remove t.prefetched ci_idx;
-        Telemetry.incr tm_prefetch_hit
-      end;
-      t.cache <- (ci_idx, frames) :: List.remove_assoc ci_idx t.cache;
-      Mutex.unlock t.lock;
-      frames
-    | None when Hashtbl.mem t.inflight ci_idx ->
-      Condition.wait t.cv t.lock;
-      get ()
-    | None ->
-      (* Inflate on the critical path (a prefetch miss when readahead
-         is on).  Decode outside the lock so concurrent prefetches keep
-         landing. *)
-      Mutex.unlock t.lock;
-      let frames = decode_chunk_raw t ~idx:ci_idx t.index.(ci_idx) t.chunks.(ci_idx) in
-      Mutex.lock t.lock;
-      Hashtbl.remove t.prefetched ci_idx;
-      if ra_on then Telemetry.incr tm_prefetch_miss;
-      cache_insert t ci_idx frames;
-      let frames =
-        match List.assoc_opt ci_idx t.cache with
-        | Some f -> f
-        | None -> frames
-      in
-      Mutex.unlock t.lock;
-      frames
-  in
-  let frames = get () in
-  maybe_prefetch t ci_idx;
-  frames
+      t.cache <- List.filteri (fun i _ -> i < cache_slots) t.cache
+    end;
+    frames
 
 (* Binary search: the chunk containing frame [i]. *)
 let chunk_of_frame t i =
@@ -1232,7 +1005,7 @@ end
    injection); stats carry over with the frame-stream byte counts
    recomputed, and per-chunk CRCs recomputed over the new stored
    bytes. *)
-let map_frames_ev ~event_version f t =
+let map_frames f t =
   let stats =
     { t.stats with
       raw_bytes = 0;
@@ -1242,9 +1015,8 @@ let map_frames_ev ~event_version f t =
       lru_evictions = 0 }
   in
   let remake ~index ~chunks =
-    make_t ~trusted:t.trusted ~event_version ~index ~chunks
-      ~compressed:t.compressed ~images:t.images ~files:t.files ~stats
-      ~initial_exe:t.initial_exe ~opts:t.opts ()
+    make_t ~index ~chunks ~compressed:t.compressed ~images:t.images
+      ~files:t.files ~stats ~initial_exe:t.initial_exe ()
   in
   let n_chunks = Array.length t.index in
   if n_chunks = 0 then remake ~index:t.index ~chunks:t.chunks
@@ -1252,7 +1024,7 @@ let map_frames_ev ~event_version f t =
   let chunks = Array.make n_chunks "" in
   let index = Array.make n_chunks t.index.(0) in
   let byte_offset = ref 0 in
-  let ectx = Event.ectx ~version:event_version () in
+  let ectx = Event.ectx () in
   Array.iteri
     (fun ci_idx ci ->
       let frames = decode_chunk_raw t ~idx:ci_idx ci t.chunks.(ci_idx) in
@@ -1275,13 +1047,11 @@ let map_frames_ev ~event_version f t =
           byte_offset = !byte_offset;
           stored_len = String.length stored;
           kinds = !kinds;
-          crc32 = (if t.trusted then 0 else Crc32.string stored) };
+          crc32 = Crc32.string stored };
       byte_offset := !byte_offset + String.length stored)
     t.index;
   remake ~index ~chunks
   end
-
-let map_frames f t = map_frames_ev ~event_version:t.event_version f t
 
 (* ---- parts access (the repository layer's view) ---------------------- *)
 
@@ -1300,8 +1070,7 @@ let files t =
    loader enforces — chunk contiguity from frame 0, no empty chunks,
    stats agreeing with the chunk stream — checked up front, with
    byte_offset/stored_len/crc32 recomputed from the actual bytes. *)
-let of_parts ?(opts = default_opts) ?(event_version = default_event_version)
-    ?(origin = "<parts>") ~compressed ~initial_exe ~chunks:parts
+let of_parts ?(origin = "<parts>") ~compressed ~initial_exe ~chunks:parts
     ~images:imgs ~files:fls ~stats:st () =
   let exception Bad of string in
   try
@@ -1345,8 +1114,8 @@ let of_parts ?(opts = default_opts) ?(event_version = default_event_version)
     List.iter (fun (p, img) -> Hashtbl.replace images p img) imgs;
     List.iter (fun (p, d) -> Hashtbl.replace files p d) fls;
     Ok
-      (make_t ~origin ~event_version ~index ~chunks ~compressed ~images
-         ~files ~stats ~initial_exe ~opts ())
+      (make_t ~origin ~index ~chunks ~compressed ~images ~files ~stats
+         ~initial_exe ())
   with Bad detail -> Error (Corrupt { path = origin; detail })
 
 (* ---- saving ---------------------------------------------------------- *)
@@ -1356,8 +1125,7 @@ let save_io t io =
   try
     Io.write io magic_v3;
     write_record io ~tag:tag_header
-      (header_payload ~compressed:t.compressed ~initial_exe:t.initial_exe
-         ~event_version:t.event_version);
+      (header_payload ~compressed:t.compressed ~initial_exe:t.initial_exe);
     let assoc tbl = Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [] in
     let by_path (a, _) (b, _) = compare (a : string) b in
     List.iter
@@ -1368,20 +1136,12 @@ let save_io t io =
       (fun (path, data) ->
         write_record io ~tag:tag_file (file_payload ~path ~offset:0 data))
       (List.sort by_path (assoc t.files));
-    (* CRCs are recomputed here rather than copied from the index: a
-       v2-loaded trace has none, and re-saving is exactly the moment to
-       mint them. *)
-    let index =
-      Array.mapi
-        (fun i ci -> { ci with crc32 = Crc32.string t.chunks.(i) })
-        t.index
-    in
     Array.iteri
       (fun i ci ->
         write_record io ~tag:tag_chunk
           (chunk_payload ~first_frame:ci.first_frame ~n_frames:ci.n_frames
              ~kinds:ci.kinds t.chunks.(i)))
-      index;
+      t.index;
     (* Sidecar index records ride after the chunks, before the trailer:
        each is independently CRC'd, so a corrupt index drops on salvage
        while every chunk before it survives. *)
@@ -1398,7 +1158,7 @@ let save_io t io =
           write_record io ~tag:tag_index_cp (Buffer.contents b))
         (Trace_index.checkpoints ix));
     let trailer_off = Io.written io in
-    write_record io ~tag:tag_trailer (trailer_payload t.stats index);
+    write_record io ~tag:tag_trailer (trailer_payload t.stats t.index);
     Io.write io (footer_bytes ~trailer_off);
     Io.close_writer io;
     Ok ()
@@ -1413,58 +1173,6 @@ let save t path =
 
 let save_exn t path =
   match save t path with Ok () -> () | Error e -> raise (Format_error e)
-
-(* Legacy writer for the previous (v2) monolithic-payload layout — kept
-   so compatibility tests can manufacture v2 files without archiving
-   binary fixtures.  No CRCs, no footer: exactly what old builds
-   wrote. *)
-let save_v2 t path =
-  (* v2 containers predate delta-coded chunks; transcode the chunk
-     stream back to event-encoding v1 so old readers decode it. *)
-  let t =
-    if t.event_version = 1 then t
-    else map_frames_ev ~event_version:1 (fun _ e -> e) t
-  in
-  let put_chunk_info_v2 b ci =
-    Codec.put_uvarint b ci.first_frame;
-    Codec.put_uvarint b ci.n_frames;
-    Codec.put_uvarint b ci.byte_offset;
-    Codec.put_uvarint b ci.stored_len;
-    Codec.put_uvarint b ci.kinds
-  in
-  let b = Codec.sink () in (* chunk-lifecycle *)
-  Codec.put_uvarint b 2;
-  Codec.put_bool b t.compressed;
-  Codec.put_string b t.initial_exe;
-  put_stats b t.stats;
-  Codec.put_list b put_chunk_info_v2 (Array.to_list t.index);
-  let stream_len =
-    Array.fold_left (fun acc c -> acc + String.length c) 0 t.chunks
-  in
-  Codec.put_uvarint b stream_len;
-  Array.iter (Buffer.add_string b) t.chunks;
-  let assoc tbl = Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [] in
-  let by_path (a, _) (b, _) = compare (a : string) b in
-  Codec.put_list b
-    (fun b (p, data) ->
-      Codec.put_string b p;
-      Codec.put_string b data)
-    (List.sort by_path (assoc t.files));
-  Codec.put_list b
-    (fun b (p, img) ->
-      Codec.put_string b p;
-      Image_codec.put_image b img)
-    (List.sort by_path (assoc t.images));
-  let payload = Buffer.contents b in
-  let oc = open_out_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc magic_v2;
-      let len = Bytes.create 8 in (* chunk-lifecycle *)
-      Bytes.set_int64_le len 0 (Int64.of_int (String.length payload));
-      output_bytes oc len;
-      output_string oc payload)
 
 (* ---- loading --------------------------------------------------------- *)
 
@@ -1518,8 +1226,7 @@ let parse_record data ~limit pos =
    so salvage can pick the newest one consistent with the chunks it
    kept. *)
 type scan_state = {
-  (* compressed, initial_exe, event encoding version *)
-  mutable sc_header : (bool * string * int) option;
+  mutable sc_header : (bool * string) option; (* compressed, initial exe *)
   mutable sc_rev_chunks : (chunk_info * string) list;
   mutable sc_frames : int;
   mutable sc_off : int;
@@ -1554,16 +1261,14 @@ let apply_record st ~path tag payload =
   in
   if tag = tag_header then begin
     let version = Codec.get_uvarint s in
-    if version <> format_version && version <> format_version_delta then
+    if version <> format_version then
       raise
         (Format_error
-           (Version_skew
-              { path; found = version; expected = format_version_delta }));
-    let event_version = if version = format_version_delta then 2 else 1 in
+           (Version_skew { path; found = version; expected = format_version }));
     let compressed = Codec.get_bool s in
     let exe = Codec.get_string s in
     check_consumed ();
-    st.sc_header <- Some (compressed, exe, event_version)
+    st.sc_header <- Some (compressed, exe)
   end
   else if tag = tag_image then begin
     let p = Codec.get_string s in
@@ -1648,7 +1353,7 @@ let corrupt ~path detail = Corrupt { path; detail }
    the chunks actually scanned.  No chunk is inflated — frame-level
    validation stays lazy — but every stored byte is CRC-covered by its
    record, so bit rot is caught here, not at first access. *)
-let load_v3 ~opts ~path data =
+let load_v3 ~path data =
   let file_len = String.length data in
   if file_len < 8 + 16 then
     Error (Truncated { path; detail = "no room for header and footer" })
@@ -1692,7 +1397,7 @@ let load_v3 ~opts ~path data =
         | R_short -> raise (Stop (corrupt ~path "trailer record truncated"))
         | R_bad_crc _ -> raise (Stop (corrupt ~path "trailer CRC mismatch"))
         | R_bad msg -> raise (Stop (corrupt ~path msg)));
-        let compressed, initial_exe, event_version =
+        let compressed, initial_exe =
           match st.sc_header with
           | Some h -> h
           | None -> raise (Stop (corrupt ~path "missing header record"))
@@ -1744,9 +1449,9 @@ let load_v3 ~opts ~path data =
                      (Trace_index.n_events ix) stats.n_events)))
         | Some _ | None -> ());
         let t =
-          make_t ~origin:path ~event_version ~index:(Array.map fst scanned)
+          make_t ~origin:path ~index:(Array.map fst scanned)
             ~chunks:(Array.map snd scanned) ~compressed ~images:st.sc_images
-            ~files:st.sc_files ~stats ~initial_exe ~opts ()
+            ~files:st.sc_files ~stats ~initial_exe ()
         in
         attach_scanned_index st t;
         Ok t
@@ -1754,112 +1459,31 @@ let load_v3 ~opts ~path data =
     end
   end
 
-(* v2 load: the previous monolithic-payload layout, still readable.  No
-   CRCs exist, so the result is flagged [`Trusted] (checked only by the
-   structural bounds below and lazy frame decoding). *)
-let load_v2 ~opts ~path data =
-  let exception Stop of error in
-  let fail detail = raise (Stop (corrupt ~path detail)) in
-  try
-    if String.length data < 16 then
-      raise (Stop (Truncated { path; detail = "no room for payload length" }));
-    let declared = Int64.to_int (String.get_int64_le data 8) in
-    if declared < 0 || String.length data - 16 < declared then
-      raise
-        (Stop
-           (Truncated
-              { path;
-                detail =
-                  Fmt.str "payload declares %d bytes, file has %d" declared
-                    (String.length data - 16) }));
-    let payload = String.sub data 16 declared in
-    let s = Codec.source payload in
-    let version = Codec.get_uvarint s in
-    if version <> 2 then
-      raise (Stop (Version_skew { path; found = version; expected = 2 }));
-    let compressed = Codec.get_bool s in
-    let initial_exe = Codec.get_string s in
-    let stats = get_stats s in
-    let get_chunk_info_v2 s =
-      let first_frame = Codec.get_uvarint s in
-      let n_frames = Codec.get_uvarint s in
-      let byte_offset = Codec.get_uvarint s in
-      let stored_len = Codec.get_uvarint s in
-      let kinds = Codec.get_uvarint s in
-      { first_frame; n_frames; byte_offset; stored_len; kinds; crc32 = 0 }
-    in
-    let index = Array.of_list (Codec.get_list s get_chunk_info_v2) in
-    let stream = Codec.get_string s in
-    (* Index sanity — bounds, contiguity, frame accounting — checked
-       here at open, instead of inflating every chunk to count. *)
-    if Array.length index <> stats.n_chunks then
-      fail
-        (Fmt.str "chunk index length %d, stats claim %d" (Array.length index)
-           stats.n_chunks);
-    let expected_off = ref 0 and expected_frame = ref 0 in
-    Array.iter
-      (fun ci ->
-        if ci.byte_offset <> !expected_off then
-          fail (Fmt.str "chunk stream gap at byte %d" !expected_off);
-        if ci.first_frame <> !expected_frame then
-          fail (Fmt.str "chunk index gap at frame %d" !expected_frame);
-        if ci.byte_offset + ci.stored_len > String.length stream then
-          fail "chunk overruns the stored stream";
-        expected_off := !expected_off + ci.stored_len;
-        expected_frame := !expected_frame + ci.n_frames)
-      index;
-    if !expected_off <> String.length stream then
-      fail
-        (Fmt.str "%d trailing bytes in the chunk stream"
-           (String.length stream - !expected_off));
-    if !expected_frame <> stats.n_events then
-      fail
-        (Fmt.str "index covers %d frames, stats claim %d" !expected_frame
-           stats.n_events);
-    let chunks =
-      Array.map (fun ci -> String.sub stream ci.byte_offset ci.stored_len)
-        index
-    in
-    let files = Hashtbl.create 8 in
-    Codec.get_list s (fun s ->
-        let p = Codec.get_string s in
-        Hashtbl.replace files p (Codec.get_string s))
-    |> ignore;
-    let images = Hashtbl.create 8 in
-    Codec.get_list s (fun s ->
-        let p = Codec.get_string s in
-        Hashtbl.replace images p (Image_codec.get_image s))
-    |> ignore;
-    Ok
-      (make_t ~trusted:true ~origin:path ~index ~chunks ~compressed ~images
-         ~files ~stats ~initial_exe ~opts ())
-  with
-  | Stop e -> Error e
-  | Codec.Corrupt msg -> Error (corrupt ~path msg)
-
-let load_bytes ~opts ~path data =
+(* The 8-byte magic picks the reader: the v3 record stream, a rejected
+   legacy container, or not a trace at all. *)
+let by_magic ~path data ~v3 =
   if String.length data < 8 then
     Error (Truncated { path; detail = "shorter than the magic" })
   else begin
-    match String.sub data 0 8 with
-    | m when m = magic_v3 -> load_v3 ~opts ~path data
-    | m when m = magic_v2 -> load_v2 ~opts ~path data
-    | m when m = magic_v1 ->
-      Error (Version_skew { path; found = 1; expected = format_version })
-    | _ -> Error (Bad_magic { path })
+    let magic = String.sub data 0 8 in
+    if magic = magic_v3 then v3 ~path data
+    else
+      match List.assoc_opt magic legacy_magics with
+      | Some found -> Error (Version_skew { path; found; expected = format_version })
+      | None -> Error (Bad_magic { path })
   end
 
-let open_io ?(opts = default_opts) r =
+let open_io r =
   match Io.read_all r with
-  | data -> load_bytes ~opts ~path:(Io.reader_path r) data
+  | data -> by_magic ~path:(Io.reader_path r) data ~v3:load_v3
   | exception Io.Io_error e -> Error (Io e)
 
-let open_ ?opts path = open_io ?opts (Io.file_reader path)
+let open_ path = open_io (Io.file_reader path)
 
 let load = open_
 
-let open_exn ?opts path =
-  match open_ ?opts path with Ok t -> t | Error e -> raise (Format_error e)
+let open_exn path =
+  match open_ path with Ok t -> t | Error e -> raise (Format_error e)
 
 let load_exn = open_exn
 
@@ -1899,7 +1523,7 @@ let pp_salvage_report ppf r =
    stream that is CRC-valid, well-formed *and* whose chunks actually
    inflate and decode.  Everything past the first damage — or the first
    undecodable chunk — is reported lost, never silently included. *)
-let salvage_v3 ~opts ~path data =
+let salvage_v3 ~path data =
   let file_len = String.length data in
   let committed =
     file_len >= 24
@@ -1913,6 +1537,7 @@ let salvage_v3 ~opts ~path data =
   let st = new_scan_state () in
   let pos = ref 8 in
   let damage = ref None in
+  let skew = ref None in (* a readable header of another version *)
   while !damage = None && !pos < limit do
     match parse_record data ~limit !pos with
     | R_ok (tag, payload, next) -> (
@@ -1921,6 +1546,7 @@ let salvage_v3 ~opts ~path data =
       | exception Codec.Corrupt msg ->
         damage := Some (Fmt.str "byte %d: %s" !pos msg)
       | exception Format_error e ->
+        skew := Some e;
         damage := Some (Fmt.str "byte %d: %s" !pos (error_to_string e)))
     | R_short -> damage := Some (Fmt.str "byte %d: truncated record" !pos)
     | R_bad_crc tag ->
@@ -1928,23 +1554,23 @@ let salvage_v3 ~opts ~path data =
     | R_bad msg -> damage := Some (Fmt.str "byte %d: %s" !pos msg)
   done;
   let valid_bytes = !pos in
-  match st.sc_header with
-  | None ->
+  match (st.sc_header, !skew) with
+  | None, Some e -> Error e
+  | None, None ->
     (* Nothing before the first chunk survived: unrecoverable. *)
     Error
       (corrupt ~path
          (Fmt.str "header record unrecoverable (%s)"
             (match !damage with Some d -> d | None -> "empty stream")))
-  | Some (compressed, initial_exe, event_version) ->
+  | Some (compressed, initial_exe), _ ->
     let scanned = Array.of_list (List.rev st.sc_rev_chunks) in
     (* Decode-verify: keep the longest chunk prefix that inflates and
        decodes.  A probe [t] carries the compressed flag and origin for
        error context; its cache fills harmlessly and is discarded. *)
     let probe =
-      make_t ~origin:path ~event_version ~index:(Array.map fst scanned)
+      make_t ~origin:path ~index:(Array.map fst scanned)
         ~chunks:(Array.map snd scanned) ~compressed ~images:st.sc_images
-        ~files:st.sc_files ~stats:(new_stats ()) ~initial_exe
-        ~opts:default_opts ()
+        ~files:st.sc_files ~stats:(new_stats ()) ~initial_exe ()
     in
     let keep = ref (Array.length scanned) in
     (try
@@ -1984,9 +1610,9 @@ let salvage_v3 ~opts ~path data =
     stats.compressed_bytes <-
       Array.fold_left (fun acc (ci, _) -> acc + ci.stored_len) 0 kept;
     let t =
-      make_t ~origin:path ~event_version ~index:(Array.map fst kept)
+      make_t ~origin:path ~index:(Array.map fst kept)
         ~chunks:(Array.map snd kept) ~compressed ~images:st.sc_images
-        ~files:st.sc_files ~stats ~initial_exe ~opts ()
+        ~files:st.sc_files ~stats ~initial_exe ()
     in
     attach_scanned_index st t;
     let chunks_lost, frames_lost =
@@ -2018,43 +1644,14 @@ let salvage_v3 ~opts ~path data =
     Telemetry.add tm_salvage_lost (max 0 (file_len - valid_bytes));
     Ok (t, report)
 
-let salvage_bytes ~opts ~path data =
-  Telemetry.incr tm_salvage_runs;
-  if String.length data < 8 then
-    Error (Truncated { path; detail = "shorter than the magic" })
-  else begin
-    match String.sub data 0 8 with
-    | m when m = magic_v3 -> salvage_v3 ~opts ~path data
-    | m when m = magic_v2 -> (
-      (* v2 has one monolithic payload: all-or-nothing. *)
-      match load_v2 ~opts ~path data with
-      | Ok t ->
-        let stats = t.stats in
-        Ok
-          ( t,
-            { sr_path = path;
-              sr_total_bytes = String.length data;
-              sr_valid_bytes = String.length data;
-              sr_chunks_recovered = stats.n_chunks;
-              sr_frames_recovered = stats.n_events;
-              sr_chunks_lost = Some 0;
-              sr_frames_lost = Some 0;
-              sr_files_recovered = Hashtbl.length t.files;
-              sr_images_recovered = Hashtbl.length t.images;
-              sr_committed = true;
-              sr_damage = None } )
-      | Error e -> Error e)
-    | m when m = magic_v1 ->
-      Error (Version_skew { path; found = 1; expected = format_version })
-    | _ -> Error (Bad_magic { path })
-  end
-
-let salvage_io ?(opts = default_opts) r =
+let salvage_io r =
   match Io.read_all r with
-  | data -> salvage_bytes ~opts ~path:(Io.reader_path r) data
+  | data ->
+    Telemetry.incr tm_salvage_runs;
+    by_magic ~path:(Io.reader_path r) data ~v3:salvage_v3
   | exception Io.Io_error e -> Error (Io e)
 
-let salvage ?opts path = salvage_io ?opts (Io.file_reader path)
+let salvage path = salvage_io (Io.file_reader path)
 
 let pp_stats ppf s =
   Fmt.pf ppf

@@ -12,14 +12,11 @@
     LRU, so opening a trace is O(index) and a seek costs
     O(log n_chunks + one chunk decode).
 
-    The multicore pipeline is selected per trace via {!opts}: [jobs]
-    worker domains deflate sealed chunks in the background while the
-    writer keeps recording (output is byte-identical to the serial
-    path), and [readahead] chunks are prefetched+inflated ahead of the
-    reader so sequential replay rarely inflates on the critical path.
-    The decoded-chunk LRU is domain-safe (a per-trace mutex).  The
-    defaults ([jobs = 1], [readahead = 0]) are the fully serial,
-    domain-free paths.
+    The pipeline is serial: the {!Writer} deflates each chunk as it
+    seals it, and the {!Reader} inflates a chunk on first access.  A
+    {!t} belongs to one domain — its chunk LRU is unlocked, so never
+    share one trace value across domains (hand it over whole, as a
+    pool result, instead).
 
     {b Durability} (DESIGN.md §4e): persistence flows through the
     pluggable {!Io} layer.  The v3 on-disk format is a stream of
@@ -45,28 +42,13 @@ type stats = {
   mutable lru_evictions : int; (* decoded chunks dropped from the LRU *)
 }
 
-(** Pipeline options (see the module preamble). *)
-type opts = {
-  jobs : int; (** worker domains for chunk deflate / readahead (≥ 1) *)
-  readahead : int; (** chunks prefetched past the last read (0 = off) *)
-}
-
-val default_opts : opts
-(** [{jobs = 1; readahead = 0}]: the serial paths, no domains. *)
-
-val make_opts : ?jobs:int -> ?readahead:int -> unit -> opts
-(** [default_opts] with the given fields overridden (clamped to
-    [jobs ≥ 1], [readahead ≥ 0]).  This is the only supported way to
-    build an {!opts} — construct through it, not by record literal, so
-    clamping is never bypassed (a lint enforces this outside [lib/]). *)
-
 type chunk_info = {
   first_frame : int; (** trace index of the chunk's first frame *)
   n_frames : int;
   byte_offset : int; (** offset into the concatenated chunk stream *)
   stored_len : int; (** stored (compressed) size in bytes *)
   kinds : int; (** OR of {!Event.kind_bit} over the chunk's frames *)
-  crc32 : int; (** CRC-32 of the stored bytes; 0 = unknown (v2 trace) *)
+  crc32 : int; (** CRC-32 of the stored bytes *)
 }
 
 type t
@@ -85,7 +67,9 @@ type error =
           commit footer: the writer was killed before [finish]) *)
   | Bad_magic of { path : string }  (** not an rr trace file at all *)
   | Version_skew of { path : string; found : int; expected : int }
-      (** readable magic, unreadable version (v1, or a future format) *)
+      (** readable magic, unreadable version: an older container
+          (RRTRACE1, RRTRACE2), a v3 header older than 4, or a future
+          format *)
   | Chunk_crc of int
       (** chunk [i]'s stored bytes fail their CRC — bit rot, torn
           write, or tampering; the index pinpoints the damaged chunk *)
@@ -117,7 +101,7 @@ val error_to_string : error -> string
 
 module Sink : sig
   type event =
-    | Header of { compressed : bool; initial_exe : string; event_version : int }
+    | Header of { compressed : bool; initial_exe : string }
     | Image of { path : string; img : Image.t }
     | File_delta of { path : string; offset : int; data : string }
         (** bytes [data] replace the file's contents from [offset];
@@ -176,7 +160,7 @@ val ring : chunks:int -> ring
 
 val ring_sink : ring -> Sink.t
 
-val ring_trace : ?opts:opts -> ring -> t * ring_report
+val ring_trace : ring -> t * ring_report
 (** Snapshot the retained window as a standalone trace: chunk indexes
     rebased to frame 0, per-chunk CRCs minted, images and files copied.
     The window replays from its own frame 0 only when nothing was
@@ -191,20 +175,15 @@ module Writer : sig
   val create :
     ?compress:bool ->
     ?chunk_limit:int ->
-    ?opts:opts ->
     ?journal:Io.writer ->
     ?sink:Sink.t ->
-    ?event_version:int ->
     initial_exe:string ->
     unit ->
     w
   (** [chunk_limit] (default 64 KiB) is the pending-buffer size that
       triggers a chunk flush — with its index entry — as frames stream
       in; tests shrink it to force multi-chunk traces from small
-      workloads.  With [opts.jobs > 1] each sealed chunk is deflated on
-      a worker domain (bounded queue: the writer blocks rather than
-      outrun the compressors); chunks are consumed in submission order,
-      so the file is byte-identical to the serial one.
+      workloads.  Each sealed chunk is deflated on the spot.
 
       With [sink] (or [journal], sugar for [Sink.of_io]; [sink] wins
       when both are given), the trace streams to that sink {e while
@@ -216,12 +195,7 @@ module Writer : sig
       collects ([Repo.sink]).  {!finish} commits the sink; for a
       bounded sink it returns the sink's own result (the ring window).
       Sink IO failures surface as {!Io.Io_error} from the writer
-      operation that hit them.
-
-      [event_version] selects the chunk frame encoding (see
-      {!Event.ectx}): 2 (the default) delta-codes register images
-      against the task's previous frame; 1 writes plain arrays, for
-      compatibility tests manufacturing old-style files. *)
+      operation that hit them. *)
 
   val event : w -> Event.t -> int
   (** Append one frame; returns its serialized size (cost charging). *)
@@ -237,8 +211,7 @@ module Writer : sig
   val finish : w -> t
 
   val abort : w -> unit
-  (** Release the writer without committing: shut the deflate pool down
-      and close the sink (for the file sink, the journal fd a killed
+  (** Release the writer without committing: close the sink (for the file sink, the journal fd a killed
       recording used to leak).  Idempotent; safe after a failed
       {!finish}; never raises.  Call exactly one of {!finish} or
       [abort]. *)
@@ -296,45 +269,16 @@ val n_events : t -> int
 val stats : t -> stats
 val chunk_index : t -> chunk_info array
 
-val close : t -> unit
-(** Release the trace's background decode pool (idempotent; a no-op for
-    serial readers).  The trace stays readable — a later read recreates
-    the pool on demand.  Call this when churning through many traces
-    with [readahead > 0] (a salvage sweep, the fault matrix), where
-    leaked worker domains would otherwise accumulate until the runtime
-    refuses to spawn more. *)
-
 val decoded_chunks : t -> int
-(** Number of chunks inflated+decoded so far (LRU misses, including
-    background readahead decodes) — lets tests verify that loading and
-    partial reads stay lazy. *)
-
-val get_opts : t -> opts
-
-val set_opts : t -> opts -> unit
-(** Reconfigure the pipeline of a built trace (e.g. turn on readahead
-    before replaying a loaded trace).  Frame contents are unaffected:
-    readahead only changes {e when} chunks are inflated, never what the
-    reader returns. *)
+(** Number of chunks inflated+decoded so far (LRU misses) — lets tests
+    verify that loading and partial reads stay lazy. *)
 
 val initial_exe : t -> string
 (** The executable the recording started under. *)
 
-val event_version : t -> int
-(** The event encoding the trace's chunks use: 1 = plain register
-    arrays, 2 = per-task register deltas.  Negotiated through the
-    header version field (3 → v1, 4 → v2); readers of either kind of
-    file decode transparently. *)
-
 val compressed : t -> bool
 (** Whether the trace's chunks are stored deflated — preserved verbatim
     by the repository manifest so a loaded trace decodes identically. *)
-
-val integrity : t -> [ `Crc_checked | `Trusted ]
-(** [`Crc_checked]: every stored chunk carries a CRC that is verified
-    before decoding.  [`Trusted]: the trace predates per-chunk CRCs (a
-    v2 file) — reads are structurally validated but not
-    integrity-checked. *)
 
 val image : t -> string -> Image.t
 (** Raises [Invalid_argument] for unknown paths. *)
@@ -352,8 +296,6 @@ val chunk_stored : t -> int -> string
     content-addressed storage in the trace repository. *)
 
 val of_parts :
-  ?opts:opts ->
-  ?event_version:int ->
   ?origin:string ->
   compressed:bool ->
   initial_exe:string ->
@@ -395,8 +337,9 @@ val map_frames : (int -> Event.t -> Event.t) -> t -> t
     offset + ["RRCOMMIT"]).  Images and file snapshots precede the
     chunks that reference them; the trailer repeats the full chunk
     index with per-chunk CRCs; the footer is written last, so its
-    presence proves the writer finished.  v2 files remain loadable
-    (flagged [`Trusted]); v1 reports {!Version_skew}. *)
+    presence proves the writer finished.  The header's version field
+    must be 4 (delta-coded registers); older RRTRACE1/RRTRACE2 files
+    and version-3 headers report {!Version_skew}. *)
 
 val save : t -> string -> (unit, error) result
 val save_exn : t -> string -> unit
@@ -405,25 +348,20 @@ val save_io : t -> Io.writer -> (unit, error) result
 (** Persist through an arbitrary {!Io.writer} (fault injection, in-
     memory buffers).  The writer is closed in all cases. *)
 
-val save_v2 : t -> string -> unit
-(** Write the legacy v2 (monolithic payload, no CRC, no footer) layout
-    — for compatibility tests only. *)
-
-val open_ : ?opts:opts -> string -> (t, error) result
+val open_ : string -> (t, error) result
 (** Open a saved trace: verify the commit footer, scan and CRC-check
     every record, cross-check the trailer index — without inflating any
-    chunk.  [opts] configures the reader pipeline of the returned
-    trace. *)
+    chunk. *)
 
-val load : ?opts:opts -> string -> (t, error) result
+val load : string -> (t, error) result
 (** Alias of {!open_}. *)
 
-val open_io : ?opts:opts -> Io.reader -> (t, error) result
+val open_io : Io.reader -> (t, error) result
 
-val open_exn : ?opts:opts -> string -> t
+val open_exn : string -> t
 (** {!open_}, raising {!Format_error} instead of returning [Error]. *)
 
-val load_exn : ?opts:opts -> string -> t
+val load_exn : string -> t
 
 (** {1 Salvage} *)
 
@@ -443,7 +381,7 @@ type salvage_report = {
 
 val pp_salvage_report : salvage_report Fmt.t
 
-val salvage : ?opts:opts -> string -> (t * salvage_report, error) result
+val salvage : string -> (t * salvage_report, error) result
 (** Recover the longest verifiable prefix of a damaged (or healthy)
     trace: scan records until the first CRC failure or framing error,
     then decode-verify the recovered chunks and drop everything from
@@ -453,6 +391,6 @@ val salvage : ?opts:opts -> string -> (t * salvage_report, error) result
     exactly what was lost.  Errors only when nothing is recoverable
     (unreadable file, foreign magic, no surviving header). *)
 
-val salvage_io : ?opts:opts -> Io.reader -> (t * salvage_report, error) result
+val salvage_io : Io.reader -> (t * salvage_report, error) result
 
 val pp_stats : stats Fmt.t

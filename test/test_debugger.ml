@@ -39,7 +39,7 @@ let record_counter () =
   in
   (* Interception off so every syscall is its own frame: the debugger's
      time axis is frame indices. *)
-  let opts = { Recorder.default_opts with intercept = false } in
+  let opts = Recorder.make_opts ~intercept:false () in
   let trace, _, _ = Recorder.record ~opts ~setup ~exe:"/bin/t" () in
   trace
 
@@ -87,7 +87,7 @@ let test_reverse_step () =
   Debugger.reverse_step d;
   Alcotest.(check int) "two steps back" (last - 2) (Debugger.pos d)
 
-let test_last_change_watchpoint () =
+let test_last_write_watchpoint () =
   let trace = record_counter () in
   let d = dbg trace in
   Debugger.seek d (Debugger.n_events d);
@@ -264,7 +264,7 @@ let suites =
         Alcotest.test_case "reverse-continue" `Quick test_reverse_continue;
         Alcotest.test_case "reverse-step" `Quick test_reverse_step;
         Alcotest.test_case "reverse watchpoint" `Quick
-          test_last_change_watchpoint;
+          test_last_write_watchpoint;
         Alcotest.test_case "restore consistency" `Quick
           test_checkpoint_restore_consistency;
         Alcotest.test_case "checkpoints are cheap" `Quick test_checkpoints_cheap;

@@ -57,7 +57,7 @@ let test_tasks_rendered () =
    frames leading up to the failure. *)
 let test_divergence_dump_has_ring () =
   Telemetry.reset ();
-  let opts = { Recorder.default_opts with Recorder.intercept = false } in
+  let opts = Recorder.make_opts ~intercept:false () in
   let recd, _ = Workload.record ~opts (Wl_cp.make ()) in
   let tampered = ref false in
   let trace =

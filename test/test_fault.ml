@@ -10,9 +10,7 @@
    and never a crash, hang, or silent divergence.
 
    Faults are seeded and deterministic ({!Io.inject} /
-   {!Io.inject_reader}), so the whole matrix replays bit-identically.
-   The matrix runs under three reader configurations: serial, parallel
-   decode ([jobs = 4]), and parallel decode with readahead prefetch. *)
+   {!Io.inject_reader}), so the whole matrix replays bit-identically. *)
 
 let synth_event i =
   match i mod 4 with
@@ -54,11 +52,6 @@ let golden =
      | Error e -> failwith (Trace.error_to_string e));
      (Buffer.contents buf, Trace.Reader.to_array t))
 
-let opts_modes =
-  [ ("serial", Trace.make_opts ());
-    ("jobs4", Trace.make_opts ~jobs:4 ());
-    ("jobs4+ra2", Trace.make_opts ~jobs:4 ~readahead:2 ()) ]
-
 let is_prefix_of ~original frames =
   Array.length frames <= Array.length original
   && (try
@@ -72,18 +65,16 @@ let is_prefix_of ~original frames =
    reader.  [mk_reader] builds a fresh reader each pass, re-applying any
    read-side fault plan.  Returns which of the three allowed outcomes
    happened; anything else fails the test. *)
-let classify ~what ~opts ~original mk_reader =
-  match Trace.open_io ~opts (mk_reader ()) with
+let classify ~what ~original mk_reader =
+  match Trace.open_io (mk_reader ()) with
   | Ok t ->
     let frames = Trace.Reader.to_array t in
-    Trace.close t;
     if frames = original then `Success
     else Alcotest.failf "%s: silent divergence on open" what
   | Error _open_err -> (
-    match Trace.salvage_io ~opts (mk_reader ()) with
+    match Trace.salvage_io (mk_reader ()) with
     | Ok (s, report) ->
       let frames = Trace.Reader.to_array s in
-      Trace.close s;
       if not (is_prefix_of ~original frames) then
         Alcotest.failf "%s: salvage returned a non-prefix (%d frames)" what
           (Array.length frames);
@@ -131,16 +122,13 @@ let test_read_fault_matrix () =
   let bytes, original = Lazy.force golden in
   let counts = Hashtbl.create 8 in
   let bump k = Hashtbl.replace counts k (1 + try Hashtbl.find counts k with Not_found -> 0) in
-  List.iter
-    (fun (mode, opts) ->
-      for seed = 1 to n_read_seeds do
-        let rng = Random.State.make [| 0xFA; seed |] in
-        let fault = read_fault rng (String.length bytes) in
-        let what = Printf.sprintf "read[%s seed=%d %s]" mode seed (pp_fault fault) in
-        let mk_reader () = Io.inject_reader [ fault ] (Io.string_reader bytes) in
-        bump (classify ~what ~opts ~original mk_reader)
-      done)
-    opts_modes;
+  for seed = 1 to n_read_seeds do
+    let rng = Random.State.make [| 0xFA; seed |] in
+    let fault = read_fault rng (String.length bytes) in
+    let what = Printf.sprintf "read[seed=%d %s]" seed (pp_fault fault) in
+    let mk_reader () = Io.inject_reader [ fault ] (Io.string_reader bytes) in
+    bump (classify ~what ~original mk_reader)
+  done;
   (* The seed range must actually exercise all three outcomes. *)
   List.iter
     (fun k ->
@@ -158,34 +146,31 @@ let test_write_fault_matrix () =
   let _, original = Lazy.force golden in
   let t = synth_trace () in
   let ideal_len = String.length (fst (Lazy.force golden)) in
-  List.iter
-    (fun (mode, opts) ->
-      for seed = 1 to n_write_seeds do
-        let rng = Random.State.make [| 0xFB; seed |] in
-        let fault = write_fault rng ideal_len in
-        let what = Printf.sprintf "write[%s seed=%d %s]" mode seed (pp_fault fault) in
-        let buf = Buffer.create 65536 in
-        let w = Io.inject [ fault ] (Io.buffer_writer buf) in
-        let save_outcome = Trace.save_io t w in
-        (match (save_outcome, fault) with
-        | Ok (), (Io.Write_enospc_after n | Io.Write_crash_at n | Io.Write_short_at n)
-          when n < ideal_len ->
-          Alcotest.failf "%s: save claimed success past a write fault" what
-        | Error _, Io.Write_bit_flip _ ->
-          Alcotest.failf "%s: a bit flip must not fail the write" what
-        | (Ok () | Error _), _ -> ());
-        let landed = Buffer.contents buf in
-        let mk_reader () = Io.string_reader landed in
-        (match classify ~what ~opts ~original mk_reader with
-        | `Success when save_outcome <> Ok () ->
-          (* A failed save may still have landed a loadable prefix only
-             if the fault struck at/after the footer — in which case the
-             bytes are the complete record stream.  [classify] already
-             proved frame identity, so this is fine. *)
-          ()
-        | `Success | `Salvaged | `Typed_error -> ())
-      done)
-    opts_modes
+  for seed = 1 to n_write_seeds do
+    let rng = Random.State.make [| 0xFB; seed |] in
+    let fault = write_fault rng ideal_len in
+    let what = Printf.sprintf "write[seed=%d %s]" seed (pp_fault fault) in
+    let buf = Buffer.create 65536 in
+    let w = Io.inject [ fault ] (Io.buffer_writer buf) in
+    let save_outcome = Trace.save_io t w in
+    (match (save_outcome, fault) with
+    | Ok (), (Io.Write_enospc_after n | Io.Write_crash_at n | Io.Write_short_at n)
+      when n < ideal_len ->
+      Alcotest.failf "%s: save claimed success past a write fault" what
+    | Error _, Io.Write_bit_flip _ ->
+      Alcotest.failf "%s: a bit flip must not fail the write" what
+    | (Ok () | Error _), _ -> ());
+    let landed = Buffer.contents buf in
+    let mk_reader () = Io.string_reader landed in
+    match classify ~what ~original mk_reader with
+    | `Success when save_outcome <> Ok () ->
+      (* A failed save may still have landed a loadable prefix only if
+         the fault struck at/after the footer — in which case the bytes
+         are the complete record stream.  [classify] already proved
+         frame identity, so this is fine. *)
+      ()
+    | `Success | `Salvaged | `Typed_error -> ()
+  done
 
 (* A writer killed mid-record: the journal stream's prefix must salvage
    into a replayable trace (the paper's crash-tolerance story — a
@@ -275,10 +260,8 @@ let test_fault_telemetry_counters () =
 
 let suites =
   [ ( "fault-injection",
-      [ Alcotest.test_case "read-fault matrix (3 reader modes)" `Quick
-          test_read_fault_matrix;
-        Alcotest.test_case "write-fault matrix (3 reader modes)" `Quick
-          test_write_fault_matrix;
+      [ Alcotest.test_case "read-fault matrix" `Quick test_read_fault_matrix;
+        Alcotest.test_case "write-fault matrix" `Quick test_write_fault_matrix;
         Alcotest.test_case "killed recording salvages to a replayable prefix"
           `Quick test_killed_recording_salvages;
         Alcotest.test_case "telemetry counters" `Quick

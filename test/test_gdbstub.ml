@@ -172,7 +172,7 @@ let record_tiny () =
       (G.sc Sysno.getpid [] @. G.sc Sysno.getpid [] @. G.sys_exit_group 0);
     K.install_image k ~path:"/bin/tiny" (G.build b ~name:"tiny" ())
   in
-  let opts = { Recorder.default_opts with intercept = false } in
+  let opts = Recorder.make_opts ~intercept:false () in
   let trace, _, _ = Recorder.record ~opts ~setup ~exe:"/bin/tiny" () in
   trace
 
@@ -232,7 +232,7 @@ let record_samba () =
 
 (* The acceptance session: against a recorded sambatest trace, read
    registers and memory, continue to a software breakpoint, reverse
-   back across it, resolve a watchpoint through last_change, and drive
+   back across it, resolve a watchpoint through Query.last_write, and drive
    the qRcmd monitor — every reply asserted byte for byte, with the
    expected bytes computed from an independent Debugger session over
    the same trace. *)
@@ -331,7 +331,7 @@ let test_samba_session () =
   Debugger.seek refd (i1 + 1);
 
   (* reverse watchpoint on the datagram buffer, resolved through
-     last_change.  Pick (via the reference session) a live thread whose
+     Query.last_write.  Pick (via the reference session) a live thread whose
      address space saw a write — then aim the stub at it with Hg. *)
   let waddr = 0x100000 and wlen = 8 in
   let wtid =

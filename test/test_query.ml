@@ -38,7 +38,7 @@ let record_counter () =
     counter_prog k b;
     K.install_image k ~path:"/bin/t" (G.build b ~name:"t" ())
   in
-  let opts = { Recorder.default_opts with intercept = false } in
+  let opts = Recorder.make_opts ~intercept:false () in
   let trace, _, _ = Recorder.record ~opts ~setup ~exe:"/bin/t" () in
   trace
 

@@ -162,6 +162,36 @@ let test_truncated_manifest_detected () =
   let (_ : Repo.gc_stats) = ok (Repo.gc repo) in
   ()
 
+(* The manifest's event-encoding field is always 2.  A manifest naming
+   any other encoding (here 1, plain register arrays) is a typed
+   [Manifest_corrupt], with its framing and CRC otherwise valid. *)
+let test_manifest_event_version_checked () =
+  with_temp_repo @@ fun dir repo ->
+  let t = record_small () in
+  let (_ : Repo.store_result) = ok (Repo.store_trace repo ~name:"a" t) in
+  let path = Filename.concat (Filename.concat dir "traces") "a" in
+  let original = In_channel.with_open_bin path In_channel.input_all in
+  (* magic (8) | payload length (8) | payload | crc32(payload) (4);
+     the payload opens with the event-version uvarint. *)
+  Alcotest.(check int) "written event version" 2 (Char.code original.[16]);
+  let payload =
+    Bytes.of_string (String.sub original 16 (String.length original - 20))
+  in
+  Bytes.set payload 0 '\001';
+  let crc = Bytes.create 4 in
+  Bytes.set_int32_le crc 0
+    (Int32.of_int (Crc32.string (Bytes.to_string payload)));
+  Out_channel.with_open_bin path (fun oc ->
+      Out_channel.output_string oc (String.sub original 0 16);
+      Out_channel.output_bytes oc payload;
+      Out_channel.output_bytes oc crc);
+  match Repo.load_trace repo ~name:"a" with
+  | Error (Repo.Manifest_corrupt { detail; _ }) ->
+    Alcotest.(check string) "names the version"
+      "event encoding version 1, this build reads 2" detail
+  | Error e -> Alcotest.failf "wrong error class: %a" Repo.pp_error e
+  | Ok _ -> Alcotest.fail "a manifest with event version 1 loaded"
+
 let test_crash_mid_gc () =
   with_temp_repo @@ fun _dir repo ->
   let t = record_small () in
@@ -230,6 +260,8 @@ let suites =
           test_bit_flip_object_detected;
         Alcotest.test_case "truncated manifest is typed; gc refuses" `Quick
           test_truncated_manifest_detected;
+        Alcotest.test_case "manifest event version is checked" `Quick
+          test_manifest_event_version_checked;
         Alcotest.test_case "crash mid-gc leaves a repairable repo" `Quick
           test_crash_mid_gc;
         Alcotest.test_case "recording sink streams and commits" `Quick

@@ -71,7 +71,7 @@ let read_out k =
   | Some _ | None -> "<missing>"
 
 let test_nondet_inputs_no_intercept () =
-  let opts = { Recorder.default_opts with intercept = false } in
+  let opts = Recorder.make_opts ~intercept:false () in
   let _trace, rstats, rk, pstats, _pk = roundtrip ~rec_opts:opts nondet_inputs_prog in
   check_same_exit rstats pstats;
   Alcotest.(check bool) "recorded run wrote /out" true (read_out rk <> "<missing>")
@@ -98,7 +98,7 @@ let test_preemption_points () =
       @. [ Asm.movr 1 6; Asm.I (Insn.Alu (Insn.And, 1, Insn.Imm 0x7f)) ]
       @. G.sc Sysno.exit_group [ G.reg 1 ])
   in
-  let opts = { Recorder.default_opts with timeslice_rcbs = 10_000 } in
+  let opts = Recorder.make_opts ~timeslice_rcbs:10_000 () in
   let trace, rstats, _rk, pstats, _pk = roundtrip ~rec_opts:opts build in
   check_same_exit rstats pstats;
   let scheds =
@@ -132,7 +132,7 @@ let pipe_prog _k b =
     @. G.sys_exit 0)
 
 let test_pipe_threads_no_intercept () =
-  let opts = { Recorder.default_opts with intercept = false } in
+  let opts = Recorder.make_opts ~intercept:false () in
   let _, rstats, _, pstats, _ = roundtrip ~rec_opts:opts pipe_prog in
   check_same_exit rstats pstats;
   (* 1 byte read, 'x' = 120: 100 + 120 - 160 = 60 *)
@@ -294,7 +294,7 @@ let test_interception_reduces_stops () =
     rstats
   in
   let with_buf = run Recorder.default_opts in
-  let without = run { Recorder.default_opts with intercept = false } in
+  let without = run (Recorder.make_opts ~intercept:false ()) in
   Alcotest.(check bool)
     (Printf.sprintf "stops: %d with vs %d without" with_buf.Recorder.n_ptrace_stops
        without.Recorder.n_ptrace_stops)
@@ -308,7 +308,7 @@ let test_interception_reduces_stops () =
 
 (* Chaos mode still replays faithfully. *)
 let test_chaos_mode_roundtrip () =
-  let opts = { Recorder.default_opts with chaos = true; timeslice_rcbs = 2000 } in
+  let opts = Recorder.make_opts ~chaos:true ~timeslice_rcbs:2000 () in
   let _, rstats, _, pstats, _ = roundtrip ~rec_opts:opts pipe_prog in
   check_same_exit rstats pstats
 
@@ -317,7 +317,7 @@ let test_sysemu_replay () =
   let rep_opts = { Replayer.default_opts with sysemu_all = true } in
   let _, rstats, _, pstats, _ =
     roundtrip ~rep_opts
-      ~rec_opts:{ Recorder.default_opts with intercept = false }
+      ~rec_opts:(Recorder.make_opts ~intercept:false ())
       nondet_inputs_prog
   in
   check_same_exit rstats pstats
@@ -325,7 +325,7 @@ let test_sysemu_replay () =
 (* A corrupted recording (tampered register frame) must be detected. *)
 let test_divergence_detected () =
   let trace, _, _, _, _ =
-    roundtrip ~rec_opts:{ Recorder.default_opts with intercept = false }
+    roundtrip ~rec_opts:(Recorder.make_opts ~intercept:false ())
       nondet_inputs_prog
   in
   (* Tamper: flip a recorded register in some syscall frame, rewriting
@@ -374,7 +374,7 @@ let test_rdrand_patched () =
 (* Memory checksums (paper §6.2): periodic digests catch silent memory
    corruption that register checks cannot see. *)
 let test_checksums_pass () =
-  let rec_opts = { Recorder.default_opts with checksum_every = 2 } in
+  let rec_opts = Recorder.make_opts ~checksum_every:2 () in
   let trace, rstats, _, pstats, _ = roundtrip ~rec_opts nondet_inputs_prog in
   check_same_exit rstats pstats;
   let checksums =
@@ -414,7 +414,7 @@ let test_checksum_catches_silent_corruption () =
       @. G.sys_exit_group 0)
   in
   let rec_opts =
-    { Recorder.default_opts with checksum_every = 1; intercept = false }
+    Recorder.make_opts ~checksum_every:1 ~intercept:false ()
   in
   let trace, _, _, _, _ = roundtrip ~rec_opts build in
   let trace =
@@ -525,7 +525,7 @@ let test_async_point_in_jitted_code () =
       @. [ Asm.movr 1 5 ]
       @. G.sc Sysno.exit_group [ G.reg 1 ])
   in
-  let rec_opts = { Recorder.default_opts with timeslice_rcbs = 3_000 } in
+  let rec_opts = Recorder.make_opts ~timeslice_rcbs:3_000 () in
   let trace, rstats, _, pstats, _ = roundtrip ~rec_opts build in
   check_same_exit rstats pstats;
   let scheds =
@@ -575,7 +575,7 @@ let test_thread_then_fork () =
    must reproduce bit-identical memory, or the E_checksum frames trip. *)
 let test_debugger_checksummed_seeks () =
   let rec_opts =
-    { Recorder.default_opts with checksum_every = 2; intercept = false }
+    Recorder.make_opts ~checksum_every:2 ~intercept:false ()
   in
   let trace, _, _, _, _ = roundtrip ~rec_opts nondet_inputs_prog in
   let d =
@@ -665,7 +665,7 @@ let suites =
                scratch changes nothing observable. *)
             let _, rstats, _, pstats, _ =
               roundtrip
-                ~rec_opts:{ Recorder.default_opts with scratch = false }
+                ~rec_opts:(Recorder.make_opts ~scratch:false ())
                 pipe_prog
             in
             check_same_exit rstats pstats;

@@ -201,7 +201,17 @@ let test_two_domain_hammer () =
   with_clock @@ fun now ->
   Tl.start ~capacity:(1 lsl 16) ();
   let p = Pool.create ~jobs:2 () in
+  (* Rendezvous: neither task hammers until both are running, so they
+     occupy two distinct worker domains instead of one worker draining
+     both before the other wakes. *)
+  let started = Atomic.make 0 in
   let work () =
+    if Pool.jobs p > 1 then begin
+      Atomic.incr started;
+      while Atomic.get started < 2 do
+        Domain.cpu_relax ()
+      done
+    end;
     for i = 1 to 500 do
       Tl.scope "trace.deflate" (fun () ->
           Tl.scope "trace.store" (fun () -> ());

@@ -169,27 +169,58 @@ let test_load_rejects_bad_magic () =
       close_out oc;
       check_format_error "bad magic" (fun () -> Trace.load_exn path))
 
+(* A committed v3 stream whose header record claims format [version]
+   (< 128, so its uvarint stays one byte).  Record lengths, CRCs and
+   the trailer offset all stay valid: only the version can reject it. *)
+let v3_with_header_version version =
+  let buf = Buffer.create 4096 in
+  (match Trace.save_io (synth_trace ~n:40 ()) (Io.buffer_writer buf) with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail (Trace.error_to_string e));
+  let full = Buffer.contents buf in
+  (* magic, then 'H' | length (one byte) | payload | crc32 *)
+  Alcotest.(check char) "header record first" 'H' full.[8];
+  let len = Char.code full.[9] in
+  let payload = Bytes.of_string (String.sub full 10 len) in
+  Alcotest.(check int) "writer's header version" 4
+    (Char.code (Bytes.get payload 0));
+  Bytes.set payload 0 (Char.chr version);
+  let payload = Bytes.to_string payload in
+  let crc = Bytes.create 4 in
+  Bytes.set_int32_le crc 0
+    (Int32.of_int (Crc32.string ~crc:(Crc32.string "H") payload));
+  String.concat ""
+    [ String.sub full 0 10;
+      payload;
+      Bytes.to_string crc;
+      String.sub full (14 + len) (String.length full - 14 - len) ]
+
+(* Both the strict loader and salvage must name the version they found,
+   as a typed [Version_skew]: never a crash, never a generic error. *)
+let check_version_skew what ~found bytes =
+  with_temp_file @@ fun path ->
+  Out_channel.with_open_bin path (fun oc -> output_string oc bytes);
+  let check entry = function
+    | Error (Trace.Version_skew { found = f; expected; _ }) ->
+      Alcotest.(check int) (Fmt.str "%s: %s found" what entry) found f;
+      Alcotest.(check int) (Fmt.str "%s: %s expected" what entry) 4 expected
+    | Error e ->
+      Alcotest.failf "%s: %s gave %s, not Version_skew" what entry
+        (Trace.error_to_string e)
+    | Ok _ -> Alcotest.failf "%s: %s accepted it" what entry
+  in
+  check "open_" (Trace.open_ path);
+  check "salvage" (Trace.salvage path)
+
 let test_load_rejects_old_version () =
-  with_temp_file (fun path ->
-      let oc = open_out_bin path in
-      output_string oc "RRTRACE1";
-      output_string oc (String.make 64 '\x00');
-      close_out oc;
-      check_format_error "format version 1" (fun () -> Trace.load_exn path))
+  let legacy magic = magic ^ String.make 64 '\x00' in
+  check_version_skew "RRTRACE1" ~found:1 (legacy "RRTRACE1");
+  check_version_skew "RRTRACE2" ~found:2 (legacy "RRTRACE2");
+  check_version_skew "v3 header version 3" ~found:3 (v3_with_header_version 3)
 
 let test_load_rejects_future_version () =
-  with_temp_file (fun path ->
-      let b = Codec.sink () in
-      Codec.put_uvarint b 99;
-      let payload = Buffer.contents b in
-      let oc = open_out_bin path in
-      output_string oc "RRTRACE2";
-      let len = Bytes.create 8 in
-      Bytes.set_int64_le len 0 (Int64.of_int (String.length payload));
-      output_bytes oc len;
-      output_string oc payload;
-      close_out oc;
-      check_format_error "future version" (fun () -> Trace.load_exn path))
+  check_version_skew "v3 header version 99" ~found:99
+    (v3_with_header_version 99)
 
 let test_load_rejects_truncation () =
   let t = synth_trace () in
@@ -243,27 +274,48 @@ let test_corrupt_chunk_detected_lazily () =
 
 (* ---- durability: versions, integrity, salvage ------------------------ *)
 
-let test_v2_compat () =
+(* Every chunk of a loaded v3 trace carries the CRC of its stored
+   bytes, and a flipped stored byte fails it at open, naming the
+   chunk. *)
+let test_v3_chunk_crcs () =
   let t = synth_trace () in
-  with_temp_file (fun path ->
-      Trace.save_v2 t path;
-      let loaded = Trace.load_exn path in
-      Alcotest.(check bool) "v2 loads flagged trusted" true
-        (Trace.integrity loaded = `Trusted);
-      Alcotest.(check bool) "frames identical" true
-        (Trace.Reader.to_array t = Trace.Reader.to_array loaded))
-
-let test_v3_integrity_flag () =
-  let t = synth_trace () in
-  with_temp_file (fun path ->
-      Trace.save_exn t path;
-      let loaded = Trace.load_exn path in
-      Alcotest.(check bool) "v3 loads crc-checked" true
-        (Trace.integrity loaded = `Crc_checked);
-      Array.iter
-        (fun ci ->
-          if ci.Trace.crc32 = 0 then Alcotest.fail "chunk without a CRC")
-        (Trace.chunk_index loaded))
+  let buf = Buffer.create 65536 in
+  (match Trace.save_io t (Io.buffer_writer buf) with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail (Trace.error_to_string e));
+  let full = Buffer.contents buf in
+  let loaded =
+    match Trace.open_io (Io.string_reader full) with
+    | Ok l -> l
+    | Error e -> Alcotest.fail (Trace.error_to_string e)
+  in
+  Array.iteri
+    (fun i ci ->
+      Alcotest.(check int)
+        (Printf.sprintf "chunk %d CRC" i)
+        (Crc32.string (Trace.chunk_stored loaded i))
+        ci.Trace.crc32)
+    (Trace.chunk_index loaded);
+  (* The last byte of the first chunk record's stored bytes sits just
+     before its 4-byte record CRC; flipping it leaves the framing
+     intact. *)
+  let first = (Trace.chunk_index loaded).(0) in
+  let stored = Trace.chunk_stored loaded 0 in
+  let off =
+    let rec find from =
+      let i = String.index_from full from stored.[0] in
+      if String.sub full i first.Trace.stored_len = stored then i
+      else find (i + 1)
+    in
+    find 8 + first.Trace.stored_len - 1
+  in
+  let damaged = Bytes.of_string full in
+  Bytes.set damaged off (Char.chr (Char.code full.[off] lxor 0x01));
+  match Trace.open_io (Io.string_reader (Bytes.to_string damaged)) with
+  | Error (Trace.Chunk_crc 0) -> ()
+  | Error e ->
+    Alcotest.failf "flip gave %s, not Chunk_crc 0" (Trace.error_to_string e)
+  | Ok _ -> Alcotest.fail "flipped chunk byte went undetected"
 
 let test_salvage_intact () =
   let t = synth_trace () in
@@ -354,136 +406,6 @@ let test_checkpoint_restore_after_seek () =
   Alcotest.(check (option int)) "restored replay reaches the same exit"
     full.Replayer.exit_status (Replayer.stats_of r2).Replayer.exit_status
 
-(* ---- the multicore pipeline ------------------------------------------
-
-   Two properties anchor the pipeline: (1) a Writer with background
-   compression domains produces a byte-identical file to the serial
-   Writer, and (2) readahead changes only *when* chunks are inflated,
-   never what the reader returns — including across seeks. *)
-
-(* A randomized frame stream: kinds, register contents and write
-   payload sizes all drawn from [rng], so each seed exercises different
-   chunk boundaries and deflate input. *)
-let rand_event rng i =
-  let r n = Random.State.int rng n in
-  match r 4 with
-  | 0 ->
-    Event.E_sched
-      { tid = 100 + r 3;
-        point =
-          { Event.rcb = r 1_000_000;
-            point_regs = Array.init 17 (fun _ -> r 0xffff);
-            stack_extra = r 64 } }
-  | 1 ->
-    Event.E_syscall
-      { tid = 100;
-        nr = Sysno.read;
-        site = 0x1000 + i;
-        writable_site = r 2 = 0;
-        via_abort = false;
-        regs_after = Array.init 17 (fun _ -> r 0xffff);
-        writes =
-          [ { Event.addr = 0x4000 + r 0x1000;
-              data = String.init (1 + r 200) (fun _ -> Char.chr (r 256)) } ];
-        kind = Event.K_emulate }
-  | 2 -> Event.E_insn_trap { tid = 100; reg = r 16; value = r 1_000_000 }
-  | _ -> Event.E_checksum { tid = 100; value = r 1_000_000 }
-
-let write_with ~jobs events =
-  let w =
-    Trace.Writer.create ~chunk_limit:512
-      ~opts:(Trace.make_opts ~jobs ())
-      ~initial_exe:"/bin/x" ()
-  in
-  List.iter (fun e -> ignore (Trace.Writer.event w e)) events;
-  Trace.Writer.finish w
-
-let file_bytes path = In_channel.with_open_bin path In_channel.input_all
-
-let test_parallel_save_identical () =
-  List.iter
-    (fun seed ->
-      let rng = Random.State.make [| seed |] in
-      let n = 200 + Random.State.int rng 300 in
-      let events = List.init n (rand_event rng) in
-      let serial = write_with ~jobs:1 events in
-      let parallel = write_with ~jobs:4 events in
-      with_temp_file @@ fun p1 ->
-      with_temp_file @@ fun p2 ->
-      Trace.save_exn serial p1;
-      Trace.save_exn parallel p2;
-      if not (String.equal (file_bytes p1) (file_bytes p2)) then
-        Alcotest.failf "seed %d: parallel save differs from serial" seed;
-      (* The parallel writer must also account identically. *)
-      let s1 = Trace.stats serial and s2 = Trace.stats parallel in
-      Alcotest.(check int) "raw bytes equal" s1.Trace.raw_bytes
-        s2.Trace.raw_bytes;
-      Alcotest.(check int) "compressed bytes equal" s1.Trace.compressed_bytes
-        s2.Trace.compressed_bytes;
-      Alcotest.(check int) "chunk count equal" s1.Trace.n_chunks
-        s2.Trace.n_chunks)
-    [ 1; 2; 3; 4; 5 ]
-
-let test_readahead_identical () =
-  let t = synth_trace ~n:600 () in
-  with_temp_file @@ fun path ->
-  Trace.save_exn t path;
-  let plain = Trace.load_exn path in
-  let ahead = Trace.load_exn ~opts:(Trace.make_opts ~jobs:2 ~readahead:8 ()) path in
-  let baseline = Trace.Reader.to_array plain in
-  (* Sequential walk under readahead: same frames in the same order. *)
-  let c = Trace.Reader.open_ ahead in
-  Array.iteri
-    (fun i e ->
-      if Trace.Reader.next c <> e then
-        Alcotest.failf "frame %d differs under readahead" i)
-    baseline;
-  Alcotest.(check bool) "cursor at end" true (Trace.Reader.at_end c);
-  (* Random seeks: prefetch state must never leak a wrong chunk. *)
-  let rng = Random.State.make [| 7 |] in
-  for _ = 1 to 150 do
-    let i = Random.State.int rng (Array.length baseline) in
-    Trace.Reader.seek c i;
-    if Trace.Reader.next c <> baseline.(i) then
-      Alcotest.failf "frame %d differs under readahead after seek" i
-  done;
-  (* Background prefetch decodes count as decodes, never as corruption:
-     the stats stay coherent. *)
-  let st = Trace.stats ahead in
-  Alcotest.(check bool) "reader stats coherent" true
-    (st.Trace.lru_misses > 0 && st.Trace.lru_hits > 0)
-
-(* Corruption under readahead: a prefetch worker that hits a corrupt
-   chunk drops it; the error must still surface as a clean Format_error
-   on the demand path (same observable behavior as readahead = 0),
-   never a hang or an uncaught decode exception. *)
-let test_corrupt_chunk_under_readahead () =
-  let t = synth_trace () in
-  let original = Trace.Reader.to_array t in
-  with_temp_file @@ fun path ->
-  Trace.save_exn t path;
-  let full = In_channel.with_open_bin path In_channel.input_all in
-  let detected = ref 0 in
-  List.iter
-    (fun frac ->
-      let b = Bytes.of_string full in
-      let off = Bytes.length b * frac / 10 in
-      Bytes.set b off (Char.chr (Char.code (Bytes.get b off) lxor 0xff));
-      let oc = open_out_bin path in
-      output_bytes oc b;
-      close_out oc;
-      match Trace.load_exn ~opts:(Trace.make_opts ~jobs:2 ~readahead:8 ()) path with
-      | exception Trace.Format_error _ -> incr detected
-      | loaded -> (
-        match Trace.Reader.to_array loaded with
-        | exception Trace.Format_error _ -> incr detected
-        | frames -> if frames <> original then incr detected))
-    [ 3; 4; 5; 6; 7; 8; 9 ];
-  Alcotest.(check bool)
-    (Printf.sprintf "corruption detected under readahead (%d/7 flips)"
-       !detected)
-    true (!detected >= 1)
-
 let suites =
   [ ( "trace.store",
       [ Alcotest.test_case "multi-chunk index" `Quick test_multi_chunk_index;
@@ -511,9 +433,8 @@ let suites =
         Alcotest.test_case "corrupt chunk detected lazily" `Quick
           test_corrupt_chunk_detected_lazily ] );
     ( "trace.durability",
-      [ Alcotest.test_case "v2 traces load as trusted" `Quick test_v2_compat;
-        Alcotest.test_case "v3 traces load crc-checked" `Quick
-          test_v3_integrity_flag;
+      [ Alcotest.test_case "v3 traces load crc-checked" `Quick
+          test_v3_chunk_crcs;
         Alcotest.test_case "salvage of an intact trace is lossless" `Quick
           test_salvage_intact;
         Alcotest.test_case "salvage of a truncated trace is a prefix" `Quick
@@ -522,11 +443,4 @@ let suites =
           test_restore_rejects_mismatched_trace ] );
     ( "trace.checkpoint",
       [ Alcotest.test_case "restore re-seeks the cursor" `Quick
-          test_checkpoint_restore_after_seek ] );
-    ( "trace.pipeline",
-      [ Alcotest.test_case "parallel save is byte-identical" `Quick
-          test_parallel_save_identical;
-        Alcotest.test_case "readahead returns identical frames" `Quick
-          test_readahead_identical;
-        Alcotest.test_case "corrupt chunk under readahead" `Quick
-          test_corrupt_chunk_under_readahead ] ) ]
+          test_checkpoint_restore_after_seek ] ) ]

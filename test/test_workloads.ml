@@ -55,13 +55,13 @@ let test_samba_roundtrip () = ignore (check_roundtrip (small_samba ()))
 let test_cp_no_intercept_roundtrip () =
   ignore
     (check_roundtrip
-       ~rec_opts:{ Recorder.default_opts with intercept = false }
+       ~rec_opts:(Recorder.make_opts ~intercept:false ())
        (small_cp ()))
 
 let test_samba_no_intercept_roundtrip () =
   ignore
     (check_roundtrip
-       ~rec_opts:{ Recorder.default_opts with intercept = false }
+       ~rec_opts:(Recorder.make_opts ~intercept:false ())
        (small_samba ()))
 
 (* §6.2 checksums across a full workload with desched aborts, threads
@@ -69,20 +69,20 @@ let test_samba_no_intercept_roundtrip () =
 let test_samba_with_checksums () =
   ignore
     (check_roundtrip
-       ~rec_opts:{ Recorder.default_opts with checksum_every = 3 }
+       ~rec_opts:(Recorder.make_opts ~checksum_every:3 ())
        (small_samba ()))
 
 let test_octane_with_checksums () =
   ignore
     (check_roundtrip
-       ~rec_opts:{ Recorder.default_opts with checksum_every = 2 }
+       ~rec_opts:(Recorder.make_opts ~checksum_every:2 ())
        (small_octane ()))
 
 let test_octane_chaos_roundtrip () =
   ignore
     (check_roundtrip
        ~rec_opts:
-         { Recorder.default_opts with chaos = true; timeslice_rcbs = 5_000 }
+         (Recorder.make_opts ~chaos:true ~timeslice_rcbs:5_000 ())
        (small_octane ()))
 
 (* §3.9: cp's trace must carry its data as cloned blocks, nearly free,
@@ -91,7 +91,7 @@ let test_cp_cloning_effect () =
   let w = small_cp () in
   let with_cloning, _ = W.record w in
   let without, _ =
-    W.record ~opts:{ Recorder.default_opts with clone_blocks = false } w
+    W.record ~opts:(Recorder.make_opts ~clone_blocks:false ()) w
   in
   let st_on = Trace.stats with_cloning.W.trace in
   let st_off = Trace.stats without.W.trace in
@@ -111,7 +111,7 @@ let test_intercept_effect_on_samba () =
   let w = small_samba () in
   let fast, _ = W.record w in
   let slow, _ =
-    W.record ~opts:{ Recorder.default_opts with intercept = false } w
+    W.record ~opts:(Recorder.make_opts ~intercept:false ()) w
   in
   Alcotest.(check bool)
     (Printf.sprintf "recording faster with interception (%d < %d)"
@@ -227,7 +227,7 @@ let qcheck_any_seed_replays =
     (fun seed ->
       let w = small_samba () in
       let opts =
-        { Recorder.default_opts with seed = seed + 1; timeslice_rcbs = 7_000 }
+        Recorder.make_opts ~seed:(seed + 1) ~timeslice_rcbs:7_000 ()
       in
       let recd, _ = W.record ~opts w in
       let rep, _ = W.replay recd in

@@ -35,20 +35,6 @@ check_file() {
     fi
     ;;
   esac
-  # Reader/recorder options must be built through make_opts so the
-  # clamps (jobs >= 1, readahead >= 0, ...) are never bypassed.  A bare
-  # record literal starting at the [jobs] field (or a record update of
-  # it) is the tell; module-qualified fields like { Wl_make.jobs = ... }
-  # belong to other types and are fine.
-  case "$f" in
-  *lib/*) ;;
-  *)
-    if grep -qE '\{ *jobs *=|with +jobs *=' "$f"; then
-      echo "format: $f builds an opts record literally; use make_opts" >&2
-      status=1
-    fi
-    ;;
-  esac
   # Host networking is confined to the gdb stub's socket transport (and
   # the CLI): the simulated kernel must never open real sockets, so a
   # listening-socket call anywhere else is a layering leak.
@@ -104,30 +90,6 @@ check_file() {
         echo "  (per-event encoding must reuse the chunk's pending sink;"
         echo "   mark genuine chunk-lifecycle sites with (* chunk-lifecycle *))"
       } >&2
-      status=1
-    fi
-    ;;
-  esac
-  # rfind_event is the deprecated O(n) reverse scan; outside the
-  # debugger's own fallback paths, searches go through Debugger.Query
-  # so they hit the persistent index when one is attached.
-  case "$f" in
-  *lib/rr/*) ;;
-  *)
-    if grep -qE 'rfind_event' "$f"; then
-      echo "format: $f scans with rfind_event; use Debugger.Query" >&2
-      status=1
-    fi
-    ;;
-  esac
-  # record_result is the deprecated spelling of Recorder.run; it only
-  # survives inside lib/rr (the definition and its deprecation stanza).
-  # Everything else takes the result-typed entry point by its new name.
-  case "$f" in
-  *lib/rr/*) ;;
-  *)
-    if grep -qE 'record_result' "$f"; then
-      echo "format: $f calls record_result; use Recorder.run" >&2
       status=1
     fi
     ;;
