@@ -171,36 +171,17 @@ let ledger_measure w =
 
 let gate_tolerance = 1.20
 
-(* Minimal extraction from the committed artifact: find
-   "<name>":{"baseline_ns":...  then the "slowdown": number inside it.
-   The file is machine-written by this program, so the shapes are
-   stable. *)
+(* The committed record slowdown of workload [name], if the parsed
+   artifact has one. *)
 let committed_slowdown ~json name =
-  let find sub from =
-    let n = String.length sub and len = String.length json in
-    let rec go i =
-      if i + n > len then None
-      else if String.sub json i n = sub then Some (i + n)
-      else go (i + 1)
-    in
-    go from
-  in
-  match find (Printf.sprintf "\"%s\":{\"baseline_ns\"" name) 0 with
-  | None -> None
-  | Some entry -> (
-    match find "\"slowdown\":" entry with
-    | None -> None
-    | Some v ->
-      let stop = ref v in
-      let len = String.length json in
-      while
-        !stop < len && (match json.[!stop] with
-                       | '0' .. '9' | '.' | '-' | 'e' | '+' -> true
-                       | _ -> false)
-      do
-        incr stop
-      done;
-      float_of_string_opt (String.sub json v (!stop - v)))
+  let member k = function Json_min.Obj m -> List.assoc_opt k m | _ -> None in
+  match
+    Option.bind
+      (Option.bind (member "workloads" json) (member name))
+      (member "slowdown")
+  with
+  | Some (Json_min.Num f) -> Some f
+  | _ -> None
 
 let perf_gate entries =
   match
@@ -213,7 +194,13 @@ let perf_gate entries =
     Fmt.pr
       "(perf gate skipped: no committed BENCH_table1.json — generate one \
        with `dune exec bench/main.exe -- table1`)@."
-  | json ->
+  | text ->
+    let json =
+      try Json_min.parse text
+      with Json_min.Parse_error msg ->
+        Fmt.epr "FATAL: committed BENCH_table1.json does not parse: %s@." msg;
+        exit 1
+    in
     let failed =
       List.filter_map
         (fun e ->

@@ -7,9 +7,7 @@
      rr_cli record cp            record a workload, print stats
      rr_cli replay cp            record then replay, verify equivalence
      rr_cli dump cp -n 30        print the first 30 trace frames
-     rr_cli debug cp --watch 0x120000
-                                 record, then reverse-debug: find the last
-                                 write to an address
+     rr_cli debug cp --port 2345 record, then serve the trace to gdb
      rr_cli list                 available workloads *)
 
 open Cmdliner
@@ -409,20 +407,12 @@ let dump_cmd =
 
 (* debug TARGET: TARGET is a saved trace file, or a workload name that
    is recorded on the spot (interception off so every syscall is its own
-   frame — the debugger's time axis).  Four modes:
+   frame — the debugger's time axis).  Exactly one of three modes:
      --script FILE   run a canned RSP session over the in-memory
                      transport (the CI smoke's mode; exit 1 on mismatch)
      --port P        serve the GDB remote protocol on 127.0.0.1:P
-     --socket PATH   ... on a Unix-domain socket
-     (none)          the built-in exploration demo (--watch ADDR) *)
+     --socket PATH   ... on a Unix-domain socket *)
 let debug_cmd =
-  let watch_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "watch" ] ~docv:"ADDR"
-          ~doc:"Find the last frame that changed 8 bytes at ADDR (hex ok).")
-  in
   let port_arg =
     Arg.(
       value
@@ -494,66 +484,22 @@ let debug_cmd =
         Fmt.epr "rr_cli: debug --script: %s@." msg;
         exit 1)
   in
-  let explore trace watch =
-    let d =
-      Debugger.create ~opts:(Debugger.make_opts ~checkpoint_every:16 ()) trace
-    in
-    Debugger.seek d (Debugger.n_events d);
-    Fmt.pr "replayed to the end: %d frames, %d checkpoints@." (Debugger.pos d)
-      (Debugger.checkpoints_taken d);
-    match watch with
-    | None ->
-      (* Demonstrate reverse execution: step back through syscalls. *)
-      let is_sc = function Event.E_syscall _ -> true | _ -> false in
-      let rec back n =
-        if n > 0 then
-          match Debugger.reverse_continue_to d is_sc with
-          | Some i ->
-            Fmt.pr "reverse-continue: stopped after frame %d (%a)@." i
-              Event.pp (Debugger.frame d i);
-            back (n - 1)
-          | None -> Fmt.pr "reached the beginning@."
-      in
-      back 3
-    | Some addr_s ->
-      let addr = int_of_string addr_s in
-      let tid =
-        match Debugger.live_tids d with
-        | tid :: _ -> tid
-        | [] -> (
-          (* everyone exited; use the root tid from the first exec frame *)
-          match Debugger.frame d 0 with
-          | Event.E_exec { tid; _ } -> tid
-          | _ -> Fmt.failwith "no task to watch")
-      in
-      (match Debugger.Query.last_write d ~tid ~addr ~len:8 with
-      | Error e ->
-        Fmt.epr "rr_cli: %a@." Debugger.Query.pp_error e;
-        exit 1
-      | Ok (Some i) ->
-        Fmt.pr "last write to %#x happened during frame %d: %a@." addr i
-          Event.pp (Debugger.frame d i);
-        Debugger.seek d i;
-        Fmt.pr "value before: %d@." (Debugger.read_word d tid addr);
-        Debugger.seek d (i + 1);
-        Fmt.pr "value after : %d@." (Debugger.read_word d tid addr)
-      | Ok None -> Fmt.pr "%#x never changed@." addr)
-  in
-  let run target watch port sockpath script checkpoint_every =
+  let run target port sockpath script checkpoint_every =
     with_trace_errors @@ fun () ->
-    let trace = trace_of_target target in
     match (script, port, sockpath) with
-    | Some file, None, None -> run_script trace checkpoint_every file
+    | Some file, None, None ->
+      run_script (trace_of_target target) checkpoint_every file
     | None, Some port, None ->
+      let trace = trace_of_target target in
       Fmt.pr "gdb stub listening on 127.0.0.1:%d (target remote :%d)@." port
         port;
       serve_transport trace checkpoint_every (Gdb_sock.listen_tcp ~port ())
     | None, None, Some path ->
+      let trace = trace_of_target target in
       Fmt.pr "gdb stub listening on %s@." path;
       serve_transport trace checkpoint_every (Gdb_sock.listen_unix ~path)
-    | None, None, None -> explore trace watch
     | _ ->
-      Fmt.epr "rr_cli: choose at most one of --port, --socket, --script@.";
+      Fmt.epr "rr_cli: choose one of --port, --socket, --script@.";
       exit 2
   in
   let target_arg =
@@ -564,11 +510,10 @@ let debug_cmd =
     (Cmd.info "debug"
        ~doc:
          "Drive a trace with the reverse-execution debugger: serve it to \
-          gdb over the remote serial protocol (--port/--socket), run a \
-          scripted RSP session (--script), or run the built-in exploration \
-          demo.")
+          gdb over the remote serial protocol (--port/--socket) or run a \
+          scripted RSP session (--script).")
     Term.(
-      const run $ target_arg $ watch_arg $ port_arg $ sockpath_arg
+      const run $ target_arg $ port_arg $ sockpath_arg
       $ script_arg $ cp_every_arg)
 
 let replay_file_cmd =
@@ -941,12 +886,13 @@ let stats_cmd =
              not flat spans).  With --json, emits the ledger as JSON \
              instead of the telemetry snapshot.")
   in
-  (* Exercise the flight-recorder, repository and shard instruments
-     inside the session so the snapshot always carries ring.*, repo.*,
-     shard.* and serve.* metrics: a tiny 2-chunk ring recording
-     (guaranteed drops), the same trace stored twice into a throwaway
-     repo (the second store is all shared objects), then a small served
-     recording split into per-connection shards. *)
+  (* Exercise the flight-recorder, repository, shard, index and GDB
+     instruments inside the session so the snapshot always carries
+     ring.*, repo.*, shard.*, serve.*, index.* and gdb.* metrics: a tiny
+     2-chunk ring recording (guaranteed drops), the same trace stored
+     twice into a throwaway repo (the second store is all shared
+     objects), then a small served recording split into per-connection
+     shards, indexed, and served one RSP packet. *)
   let exercise_ring_and_repo () =
     let w = Wl_cp.make ~params:{ Wl_cp.files = 2; file_kb = 16 } () in
     let ring = Trace.ring ~chunks:2 in
@@ -1003,11 +949,21 @@ let stats_cmd =
     (match Repo.store_trace repo ~name:"stats-serve" strace with
     | Ok (_ : Repo.store_result) -> ()
     | Error e -> Fmt.failwith "repo store failed: %a" Repo.pp_error e);
-    match
-      Shard.split ~repo ~base:"stats-serve" ~tags:(Conn_track.tags ct) strace
-    with
+    (match
+       Shard.split ~repo ~base:"stats-serve" ~tags:(Conn_track.tags ct) strace
+     with
     | Ok (_ : Shard.result_) -> ()
-    | Error e -> Fmt.failwith "shard split failed: %a" Repo.pp_error e
+    | Error e -> Fmt.failwith "shard split failed: %a" Repo.pp_error e);
+    (* Index the served recording and answer one RSP packet over the
+       in-memory transport, so the index.build_time and gdb.cmd spans
+       have run. *)
+    ignore (Trace_indexer.build strace : Trace_index.t);
+    let client_tr, server_tr = Gdb_transport.pair () in
+    let server = Gdb_server.create (Debugger.create strace) server_tr in
+    let client =
+      Gdb_client.create ~pump:(fun () -> Gdb_server.pump server) client_tr
+    in
+    ignore (Gdb_client.request client "?" : string)
   in
   let run name opts json attribution =
     let w = workload_of_name name in

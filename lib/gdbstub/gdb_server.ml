@@ -10,7 +10,6 @@ module T = Gdb_transport
 
 let tm_packets = Telemetry.counter "gdb.packets"
 let tm_reverse = Telemetry.counter "gdb.reverse_seeks"
-let tm_cmd = Telemetry.span "gdb.cmd"
 
 type watch = {
   w_kind : int; (* 2 = write, 3 = read, 4 = access (the Z number) *)
@@ -412,7 +411,7 @@ let dispatch t payload =
 
 let handle t payload =
   Telemetry.incr tm_packets;
-  let reply = Telemetry.timed tm_cmd (fun () -> dispatch t payload) in
+  let reply = Timeline.scope "gdb.cmd" (fun () -> dispatch t payload) in
   (* QStartNoAckMode replies inline (mode must flip after the OK) *)
   if not (payload = "QStartNoAckMode") then P.send t.conn reply
 

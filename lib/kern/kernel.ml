@@ -1790,8 +1790,10 @@ let run_baseline k ~cores ?(sample_every = 0) ?(on_sample = fun _ -> ()) () =
           k.clock <- maxclock;
           stats.wall_time <- maxclock;
           stats.deadlocked <- true;
-          Telemetry.note ~kind:"kern.deadlock"
-            (Fmt.str "%d tasks blocked at t=%d" (List.length live) maxclock);
+          Timeline.instant
+            ~detail:
+              (Fmt.str "%d tasks blocked at t=%d" (List.length live) maxclock)
+            "kern.deadlock";
           finished := true
         | d :: rest ->
           let target = List.fold_left min d rest in

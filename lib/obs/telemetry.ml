@@ -6,13 +6,18 @@
    valid across runs, which is what lets the bench harness snapshot one
    workload at a time.
 
-   Domain safety: worker domains (the {!Pool} in lib/exec — concurrent
-   recorders) report through the same registry as the main thread.  Counters and gauges are single atomics, so the hot
-   increment path never takes a lock; histograms, spans, the event ring,
-   registration, [reset] and [snapshot] serialize on one registry mutex
-   ([reg_m]).  Internal [*_unlocked] helpers exist so compound
-   operations (a span feeding its histogram, [span] registering its
-   [.ns] histogram) take the mutex exactly once — the mutex is not
+   This module is the leaf of lib/obs: it keeps no clock and emits no
+   timeline events.  Span aggregates and the event ring are fed by
+   {!Timeline}, which owns both clocks and calls [span_add] on every
+   closed scope and [note] on every instant.
+
+   Domain safety: worker domains (the {!Pool} in lib/exec) report
+   through the same registry as the main thread.  Counters and gauges
+   are single atomics, so the hot increment path never takes a lock;
+   histograms, spans, the event ring, registration, [reset] and
+   [snapshot] serialize on one registry mutex ([reg_m]).  Internal
+   [*_unlocked] helpers exist so compound operations (a span feeding its
+   histogram) take the mutex exactly once — the mutex is not
    reentrant. *)
 
 (* ---- registry ------------------------------------------------------- *)
@@ -36,7 +41,6 @@ type histogram = {
 }
 
 type span = {
-  sp_name : string;
   mutable sp_n : int;
   mutable sp_total : int;
   mutable sp_max : int;
@@ -100,53 +104,24 @@ let observe_unlocked h v =
 
 let observe h v = with_reg (fun () -> observe_unlocked h v)
 
-let span name =
-  with_reg (fun () ->
-      find_or_add spans_tbl name (fun sp_name ->
-          { sp_name;
-            sp_n = 0;
-            sp_total = 0;
-            sp_max = 0;
-            sp_hist = find_or_add hists_tbl (sp_name ^ ".ns") make_histogram }))
-
-let span_add sp ns =
+(* One name lookup per closed scope: the span and its [.ns] histogram
+   are registered on first use. *)
+let span_add name ns =
   let ns = max ns 0 in
   with_reg (fun () ->
+      let sp =
+        find_or_add spans_tbl name (fun name ->
+            { sp_n = 0;
+              sp_total = 0;
+              sp_max = 0;
+              sp_hist = find_or_add hists_tbl (name ^ ".ns") make_histogram })
+      in
       sp.sp_n <- sp.sp_n + 1;
       sp.sp_total <- sp.sp_total + ns;
       if ns > sp.sp_max then sp.sp_max <- ns;
       observe_unlocked sp.sp_hist ns)
 
-let span_count sp = with_reg (fun () -> sp.sp_n)
-
-(* ---- the virtual clock ---------------------------------------------- *)
-
-(* The cost-model clock doubles as the Timeline's virtual clock: every
-   installer (recorder, replayer, bench) goes through here, so the two
-   subsystems always agree on what "now" means. *)
-let no_clock () = 0
-let clock = ref no_clock
-
-let set_clock f =
-  clock := f;
-  Timeline.set_virtual_clock f
-
-let clear_clock () =
-  clock := no_clock;
-  Timeline.clear_virtual_clock ()
-
-(* Timed spans double as timeline scopes, so the existing [timed]
-   instrumentation shows up nested on the timeline for free. *)
-let timed sp f =
-  let t0 = !clock () in
-  Timeline.begin_scope sp.sp_name;
-  Fun.protect
-    ~finally:(fun () ->
-      Timeline.end_scope sp.sp_name;
-      span_add sp (!clock () - t0))
-    f
-
-(* ---- the event ring and sinks --------------------------------------- *)
+(* ---- the event ring -------------------------------------------------- *)
 
 type event = {
   seq : int;
@@ -162,63 +137,23 @@ let dummy_event = { seq = -1; tid = -1; frame = -1; kind = ""; detail = "" }
 let ring = Array.make ring_capacity dummy_event
 let next_seq = ref 0
 
-type sink = Null | Memory | Jsonl of string
-
-let current_sink = ref Null
-let mem_events : event list ref = ref [] (* newest first *)
-let jsonl_oc : out_channel option ref = ref None
-
-let close_jsonl () =
-  match !jsonl_oc with
-  | Some oc ->
-    close_out oc;
-    jsonl_oc := None
-  | None -> ()
-
 let json_escape = Json_min.escape
 
 let event_to_json e =
   Printf.sprintf "{\"seq\":%d,\"tid\":%d,\"frame\":%d,\"kind\":\"%s\",\"detail\":\"%s\"}"
     e.seq e.tid e.frame (json_escape e.kind) (json_escape e.detail)
 
-let set_sink s =
-  with_reg (fun () ->
-      close_jsonl ();
-      mem_events := [];
-      (match s with
-      | Jsonl path -> jsonl_oc := Some (open_out path)
-      | Null | Memory -> ());
-      current_sink := s)
-
 let note ?(tid = -1) ?(frame = -1) ~kind detail =
-  (* Mirror the event onto the timeline (on the task's lane when known)
-     so instants line up with the scopes that produced them. *)
-  if Timeline.enabled () then
-    Timeline.instant ?lane:(if tid >= 0 then Some tid else None) kind;
   with_reg (fun () ->
-      let e = { seq = !next_seq; tid; frame; kind; detail } in
-      ring.(!next_seq mod ring_capacity) <- e;
-      Stdlib.incr next_seq;
-      match !current_sink with
-      | Null -> ()
-      | Memory -> mem_events := e :: !mem_events
-      | Jsonl _ -> (
-        match !jsonl_oc with
-        | Some oc ->
-          output_string oc (event_to_json e);
-          output_char oc '\n';
-          (* Flight-recorder semantics: a killed recording must leave
-             every event it noted on disk, so flush per line. *)
-          flush oc
-        | None -> ()))
+      ring.(!next_seq mod ring_capacity) <-
+        { seq = !next_seq; tid; frame; kind; detail };
+      Stdlib.incr next_seq)
 
 let recent_unlocked () =
   let n = min !next_seq ring_capacity in
   List.init n (fun i -> ring.((!next_seq - n + i) mod ring_capacity))
 
 let recent () = with_reg recent_unlocked
-
-let memory_events () = with_reg (fun () -> List.rev !mem_events)
 
 (* ---- reset ----------------------------------------------------------- *)
 
@@ -239,8 +174,7 @@ let reset () =
           sp.sp_max <- 0)
         spans_tbl;
       Array.fill ring 0 ring_capacity dummy_event;
-      next_seq := 0;
-      mem_events := [])
+      next_seq := 0)
 
 (* ---- snapshots -------------------------------------------------------- *)
 

@@ -1,6 +1,6 @@
 (** Unified telemetry: a process-wide registry of named counters, gauges,
-    histograms and spans, plus a fixed-size ring of the last N structured
-    events with a pluggable sink.
+    histograms and span aggregates, plus a fixed-size ring of the last N
+    structured events.
 
     This is the observability substrate of the reproduction (paper §6.2:
     diagnosing failures in the field needs the machinery built in, and
@@ -9,12 +9,20 @@
     recorder, replayer — reports through here; the CLI (`rr_cli stats`),
     the bench harness and {!Diagnostics.dump} render it.
 
+    This module is the leaf registry of [lib/obs].  Layers bump counters,
+    gauges and histograms here directly, but they time a phase only with
+    [Timeline.scope] and emit an event only with [Timeline.instant]:
+    every closed timeline scope feeds the span aggregate of its name
+    through {!span_add}, and every instant lands in the event ring
+    through {!note} ([tools/check_format.sh] rejects either call outside
+    [lib/obs]).
+
     Conventions:
     - metric names are dotted [<layer>.<noun>[_<unit>]], e.g.
       [syscallbuf.hit], [record.scratch_bytes], [trace.chunk.evict];
-    - spans are phases, [<layer>.<verb>], e.g. [record.syscall],
-      [replay.seek], [trace.inflate]; each span owns a latency histogram
-      registered as [<name>.ns];
+    - spans are timeline scope names, [<layer>.<verb>], e.g.
+      [record.syscall], [replay.seek], [trace.inflate]; each span owns a
+      latency histogram registered as [<name>.ns] on its first pass;
     - the GDB stub ([lib/gdbstub]) reports as the [gdb] layer:
       [gdb.packets] (RSP packets served), [gdb.reverse_seeks] (reverse
       continue/step resolutions and checkpoint restarts), and the
@@ -25,35 +33,24 @@
       [repo.objects_stored] / [repo.objects_shared] /
       [repo.bytes_stored] / [repo.bytes_deduped] (the dedup economy)
       and [repo.gc_swept];
-    - all durations are *virtual* nanoseconds from the cost model, read
-      through the installed {!set_clock} (no wall-clock dependency, so
-      telemetry never perturbs determinism);
-    - {!Timeline} scopes reuse the span namespace: every {!timed} span
-      doubles as a timeline scope of the same dotted [<layer>.<verb>]
-      name, {!set_clock} also installs the timeline's virtual clock, and
-      {!note} mirrors each event as a timeline instant on the task's
-      lane.  Scope names introduced directly via [Timeline.scope] must
-      follow the same dotted convention ([tools/check_format.sh] lints
-      this); [<layer>.session] is reserved for whole-phase roots.
+    - all span durations are {e virtual} nanoseconds from the cost
+      model, read through the timeline's virtual clock (no wall-clock
+      dependency, so telemetry never perturbs determinism).
 
     The registry is process-global and survives {!reset}: handles stay
-    valid, only values are zeroed.  All operations on the hot path are
-    O(1) field updates.
+    valid, only values are zeroed.  Counter and gauge updates are O(1)
+    field updates; a span pass costs one name lookup.
 
-    The registry is domain-safe: worker domains (the pool in [lib/exec]
-    running concurrent recorders) share it with the main thread.  Counters and gauges are lock-free atomics;
-    histograms, spans, the event ring, registration, {!reset} and
-    {!snapshot} serialize on an internal registry mutex.  {!set_clock}
-    installs a closure that worker domains may call concurrently — time
-    sources must tolerate that (the kernel's virtual-ns clock is a
-    plain field read, so a racing read is merely slightly stale). *)
+    The registry is domain-safe: worker domains (the pool in [lib/exec])
+    share it with the main thread.  Counters and gauges are lock-free
+    atomics; histograms, spans, the event ring, registration, {!reset}
+    and {!snapshot} serialize on an internal registry mutex. *)
 
 (** {1 Metrics} *)
 
 type counter
 type gauge
 type histogram
-type span
 
 val counter : string -> counter
 (** Find or register the counter [name]. *)
@@ -73,27 +70,11 @@ val histogram : string -> histogram
 
 val observe : histogram -> int -> unit
 
-val span : string -> span
-(** A timed scope keyed by phase.  Also registers the histogram
-    [<name>.ns] which every recorded duration feeds. *)
-
-val span_add : span -> int -> unit
-(** Record one completed pass of the span lasting [ns] virtual ns. *)
-
-val span_count : span -> int
-
-(** {1 The virtual clock} *)
-
-val set_clock : (unit -> int) -> unit
-(** Install the time source used by {!timed} — the recorder and replayer
-    install their kernel's virtual-ns clock at session start. *)
-
-val clear_clock : unit -> unit
-
-val timed : span -> (unit -> 'a) -> 'a
-(** Run the thunk inside the span, charging the elapsed virtual ns from
-    the installed clock (zero-duration counts when no clock is set).
-    Exception-safe: the span is recorded even if the thunk raises. *)
+val span_add : string -> int -> unit
+(** [span_add name ns] records one completed pass of the span [name]
+    lasting [ns] virtual ns (negative durations count as 0), and feeds
+    the histogram [<name>.ns].  Both are registered on first use.
+    [Timeline.end_scope] is the caller. *)
 
 (** {1 The event ring} *)
 
@@ -109,32 +90,11 @@ val ring_capacity : int
 (** The ring keeps the last [ring_capacity] events (currently 64). *)
 
 val note : ?tid:int -> ?frame:int -> kind:string -> string -> unit
-(** Append a structured event to the ring and hand it to the sink. *)
+(** Append a structured event to the ring.  [Timeline.instant] is the
+    caller. *)
 
 val recent : unit -> event list
 (** The ring's contents, oldest first — at most {!ring_capacity}. *)
-
-(** {1 Sinks}
-
-    The ring always records; a sink additionally receives every event as
-    it is noted.  Contract: the sink must not call back into this module
-    and must tolerate any [kind]/[detail]; {!reset} clears sink buffers
-    but leaves the sink installed. *)
-
-type sink =
-  | Null (** drop (the default; zero cost beyond the ring) *)
-  | Memory (** accumulate all events for {!memory_events} *)
-  | Jsonl of string
-      (** append one JSON object per line to the file, flushing after
-          every event so a killed process's log survives on disk *)
-
-val set_sink : sink -> unit
-(** Installing a sink closes the previous JSONL channel (if any) and
-    clears the memory buffer. *)
-
-val memory_events : unit -> event list
-(** Events accumulated since the [Memory] sink was installed (or since
-    the last {!reset}), oldest first. *)
 
 (** {1 Snapshots} *)
 
@@ -173,8 +133,8 @@ val since : snapshot -> snapshot
     registry (e.g. the snapshots embedded in [Recorder.stats]). *)
 
 val reset : unit -> unit
-(** Zero every registered metric, empty the ring and the memory-sink
-    buffer.  Registered handles remain valid. *)
+(** Zero every registered metric and empty the ring.  Registered
+    handles remain valid. *)
 
 (** {1 Rendering} *)
 

@@ -1,5 +1,11 @@
 (* Timeline tracing (see timeline.mli for the contract).
 
+   This is the one timing and event primitive of the repo.  Every scope
+   charges its virtual duration to Telemetry's span aggregate of the
+   same name when it closes, and every instant lands in Telemetry's
+   event ring, whether or not recording is on; the B/E/i/C buffer below
+   is the opt-in layer on top.
+
    Hot-path design: one preallocated event array and one atomic write
    cursor.  Emitting an event is a clock read, a fetch-and-add and a
    slot write — no locks, so worker domains (lib/exec pool) record into
@@ -111,7 +117,12 @@ let lane_name lane =
     else if lane >= 10_000 then Printf.sprintf "worker-%d" (lane - 10_000)
     else Printf.sprintf "task-%d" lane
 
-type frame = { f_name : string; f_lane : int; f_emitted : bool }
+type frame = {
+  f_name : string;
+  f_lane : int;
+  f_vts : int; (* virtual clock at begin, for the span aggregate *)
+  f_emitted : bool;
+}
 type dstate = { mutable lane : int; mutable stack : frame list }
 
 let dstate_key =
@@ -132,13 +143,16 @@ let current_lane () = (dls ()).lane
 let begin_scope ?lane name =
   let d = dls () in
   let lane = match lane with Some l -> l | None -> d.lane in
+  let vts = !vclock () in
   let emitted =
     Atomic.get on
     && push
-         { ev_kind = B; ev_name = name; ev_lane = lane; ev_vts = !vclock ();
+         { ev_kind = B; ev_name = name; ev_lane = lane; ev_vts = vts;
            ev_hts = !hclock (); ev_value = 0 }
   in
-  d.stack <- { f_name = name; f_lane = lane; f_emitted = emitted } :: d.stack
+  d.stack <-
+    { f_name = name; f_lane = lane; f_vts = vts; f_emitted = emitted }
+    :: d.stack
 
 let end_scope name =
   let d = dls () in
@@ -147,19 +161,22 @@ let end_scope name =
   | f :: rest ->
     d.stack <- rest;
     if f.f_name <> name then ignore (Atomic.fetch_and_add mismatch_n 1);
+    let vts = !vclock () in
+    Telemetry.span_add f.f_name (vts - f.f_vts);
     (* The end event carries the frame's own name and opening lane, so a
        mismatched or lane-switched close still pairs with its begin. *)
     if f.f_emitted then
       ignore
         (push
            { ev_kind = E; ev_name = f.f_name; ev_lane = f.f_lane;
-             ev_vts = !vclock (); ev_hts = !hclock (); ev_value = 0 })
+             ev_vts = vts; ev_hts = !hclock (); ev_value = 0 })
 
 let scope ?lane name f =
   begin_scope ?lane name;
   Fun.protect ~finally:(fun () -> end_scope name) f
 
-let instant ?lane name =
+let instant ?lane ?frame ?(detail = "") name =
+  Telemetry.note ?tid:lane ?frame ~kind:name detail;
   if Atomic.get on then begin
     let lane = match lane with Some l -> l | None -> current_lane () in
     ignore

@@ -1,13 +1,17 @@
-(** Hierarchical timed-scope tracing with Chrome trace-event export.
+(** Hierarchical timed-scope tracing with Chrome trace-event export —
+    the one way every layer times a phase and emits an event.
 
-    Where {!Telemetry} answers "how many / how long in aggregate",
-    [Timeline] answers "when, under what, and on which task": begin/end
-    scope events carrying both the virtual cost-model clock and an
-    optional host clock, nested per domain, laid out in per-task
+    Always on: every closed {!scope} charges its virtual duration to
+    {!Telemetry}'s span aggregate of the same name (count, total, max and
+    the [<name>.ns] log2 histogram), and every {!instant} lands in
+    Telemetry's event ring, which [rr_cli stats] and
+    [Diagnostics.dump] read.  Opt-in on top ({!start}/{!stop}): the
+    timeline buffer answers "when, under what, and on which task" with
+    begin/end scope events carrying both the virtual cost-model clock
+    and an optional host clock, nested per domain, laid out in per-task
     {e lanes} keyed by guest tid, plus instant markers and counter
     samples.  Events land in one bounded lock-free buffer shared by all
-    domains; recording is off by default and every emit point is a
-    cheap atomic check when disabled.
+    domains.
 
     Naming convention: scope/instant/counter names are dotted
     [<layer>.<verb>] (["kern.run"], ["trace.deflate"], ["record.stop"])
@@ -39,10 +43,12 @@ val mismatches : unit -> int
 (** {1 Clocks}
 
     Timestamps are nanoseconds.  The virtual clock is the cost-model
-    clock installed by the recorder/replayer (via
-    [Telemetry.set_clock], which forwards here); the host clock is
-    wall-time, installed by profiling front-ends.  Both default to a
-    constant [0]. *)
+    clock the recorder, replayer and indexer install at session start;
+    span aggregates are measured on it.  The host clock is wall-time,
+    installed by profiling front-ends.  Both default to a constant [0].
+    Worker domains may read either clock concurrently, so a time source
+    must tolerate that (the kernel's virtual-ns clock is a plain field
+    read: a racing read is merely slightly stale). *)
 
 val set_virtual_clock : (unit -> int) -> unit
 val clear_virtual_clock : unit -> unit
@@ -69,19 +75,24 @@ val begin_scope : ?lane:int -> string -> unit
     Must be balanced by {!end_scope} with the same name; the pair
     becomes a [B]/[E] interval nested under the domain's innermost open
     scope.  Scope frames are tracked even while disabled, so
-    enable/disable races never unbalance the export. *)
+    enable/disable races never unbalance the export, and so the span
+    aggregate is fed either way. *)
 
 val end_scope : string -> unit
-(** Close the innermost open scope.  A [name] mismatch closes the frame
-    anyway (emitting the frame's own name on its opening lane) and
-    increments {!mismatches}. *)
+(** Close the innermost open scope and charge its virtual duration to
+    the span aggregate of the frame's name.  A [name] mismatch closes
+    the frame anyway (emitting the frame's own name on its opening lane)
+    and increments {!mismatches}. *)
 
 val scope : ?lane:int -> string -> (unit -> 'a) -> 'a
 (** [scope name f] runs [f] inside a [name] scope, closing it on normal
     return {e and} on exception. *)
 
-val instant : ?lane:int -> string -> unit
-(** A zero-duration marker (Chrome [i] event). *)
+val instant : ?lane:int -> ?frame:int -> ?detail:string -> string -> unit
+(** An event: always appended to Telemetry's ring (with [lane] as its
+    tid, or -1, and [frame], or -1), and while recording also a
+    zero-duration marker (Chrome [i] event) on [lane], default the
+    current lane. *)
 
 val sample : ?lane:int -> string -> int -> unit
 (** A counter sample (Chrome [C] event), e.g. queue depth. *)

@@ -146,7 +146,6 @@ let step d =
 
 (* ---- seeking --------------------------------------------------------- *)
 
-let tm_span_seek = Telemetry.span "replay.seek"
 let tm_index_hit = Telemetry.counter "index.hit"
 let tm_index_fallback = Telemetry.counter "index.fallback"
 
@@ -180,7 +179,7 @@ let try_restore_durable d frame blob =
 
 let seek d target =
   if target < 0 || target > n_events d then fail "seek out of range";
-  Telemetry.timed tm_span_seek @@ fun () ->
+  Timeline.scope "replay.seek" @@ fun () ->
   (* Pick the best base to replay forward from: the current position
      (forward seeks), the nearest live checkpoint (reverse execution,
      §6.1), or — strictly better than both — a durable checkpoint from

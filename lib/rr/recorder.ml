@@ -150,8 +150,6 @@ let tm_sb_miss = Telemetry.counter "syscallbuf.miss"
 let tm_sb_desched = Telemetry.counter "syscallbuf.desched"
 let tm_preempt = Telemetry.counter "sched.preempt"
 let tm_stop_elided = Telemetry.counter "record.stop_elided"
-let tm_span_syscall = Telemetry.span "record.syscall"
-let tm_span_flush = Telemetry.span "record.flush"
 
 (* ---- small helpers -------------------------------------------------- *)
 
@@ -239,7 +237,7 @@ let has_locals task =
 (* Flush the task's trace buffer into the trace (at every stop, §3). *)
 let flush_buf r task =
   if has_locals task && Syscallbuf.buffer_fill task > 0 then
-    Telemetry.timed tm_span_flush (fun () ->
+    Timeline.scope "record.flush" (fun () ->
         Telemetry.incr tm_sb_flush;
         let records =
           Syscallbuf.parse_all task ~cloned_path:(cloned_path_of task)
@@ -454,8 +452,8 @@ let record_exit r task status =
     Hashtbl.replace r.known_dead task.T.tid ();
     (* exit_group bypasses the buffer by definition. *)
     Telemetry.incr tm_sb_miss;
-    Telemetry.note ~tid:task.T.tid ~frame:r.events ~kind:"task.exit"
-      (string_of_int status);
+    Timeline.instant ~lane:task.T.tid ~frame:r.events
+      ~detail:(string_of_int status) "task.exit";
     emit r (E.E_exit { tid = task.T.tid; status });
     Rec_sched.remove_task r.sched task.T.tid;
     if r.current = Some task.T.tid then r.current <- None
@@ -873,10 +871,12 @@ let on_desched r task =
   if locked <> 0 && task.T.restart <> None then begin
     let st = get_rt r task in
     Telemetry.incr tm_sb_desched;
-    Telemetry.note ~tid:task.T.tid ~kind:"syscallbuf.desched"
-      (match task.T.restart with
-      | Some ss -> Sysno.name ss.T.nr
-      | None -> "");
+    Timeline.instant ~lane:task.T.tid
+      ~detail:
+        (match task.T.restart with
+        | Some ss -> Sysno.name ss.T.nr
+        | None -> "")
+      "syscallbuf.desched";
     (match task.T.restart with
     | Some ss ->
       Syscallbuf.append_record task
@@ -932,7 +932,7 @@ let on_app_signal r task info =
 
 let on_preempt r task =
   Telemetry.incr tm_preempt;
-  Telemetry.note ~tid:task.T.tid ~frame:r.events ~kind:"sched.preempt" "";
+  Timeline.instant ~lane:task.T.tid ~frame:r.events "sched.preempt";
   emit r (E.E_sched { tid = task.T.tid; point = capture_point task });
   r.sched_events <- r.sched_events + 1;
   if r.current = Some task.T.tid then r.current <- None
@@ -1051,7 +1051,8 @@ let handle_stop r task stop =
   | T.Stop_clone parent_tid -> on_clone r task parent_tid
   | T.Stop_seccomp ss | T.Stop_syscall_entry ss -> on_syscall_entry r task ss
   | T.Stop_syscall_exit (ss, result) ->
-    Telemetry.timed tm_span_syscall (fun () -> on_syscall_exit r task ss result)
+    Timeline.scope "record.syscall" (fun () ->
+        on_syscall_exit r task ss result)
   | T.Stop_exit status ->
     record_exit r task status;
     K.resume r.k task T.R_cont ()
@@ -1081,7 +1082,7 @@ let record ?(opts = default_opts) ?(on_stop = fun (_ : K.t) -> ())
     ?(on_event = fun (_ : E.t) -> ()) ?journal ~setup ~exe () =
   let k = K.create ~seed:opts.seed () in
   (* Spans measure virtual ns against this recording's cost model. *)
-  Telemetry.set_clock (fun () -> K.now k);
+  Timeline.set_virtual_clock (fun () -> K.now k);
   let tm_base = Telemetry.snapshot () in
   (* The whole-recording root scope: everything from setup through the
      final trace commit nests under it on the supervisor lane. *)
@@ -1174,7 +1175,7 @@ let record ?(opts = default_opts) ?(on_stop = fun (_ : K.t) -> ())
        caller-owned handle). *)
     Trace.Writer.abort w;
     Timeline.end_scope "record.session";
-    Telemetry.clear_clock ();
+    Timeline.clear_virtual_clock ();
     raise (reraise_typed exn));
   (* The clock stays installed through [finish] so the final commit
      (last deflate, manifest write) is timed like everything else. *)
@@ -1182,7 +1183,7 @@ let record ?(opts = default_opts) ?(on_stop = fun (_ : K.t) -> ())
     Fun.protect
       ~finally:(fun () ->
         Timeline.end_scope "record.session";
-        Telemetry.clear_clock ())
+        Timeline.clear_virtual_clock ())
       (fun () ->
         try Trace.Writer.finish w
         with e ->

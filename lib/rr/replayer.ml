@@ -72,8 +72,6 @@ let tm_singlestep = Telemetry.counter "replay.singlestep"
 let tm_pmu_interrupt = Telemetry.counter "replay.pmu_interrupt"
 let tm_ckpt_save = Telemetry.counter "replay.checkpoint_save"
 let tm_ckpt_restore = Telemetry.counter "replay.checkpoint_restore"
-let tm_span_frame = Telemetry.span "replay.frame"
-let tm_span_point = Telemetry.span "replay.point"
 
 let cursor_index r = Trace.Reader.pos r.cursor
 let kernel r = r.k
@@ -307,7 +305,7 @@ let run_to_point_inner r t (point : E.exec_point) =
   end
 
 let run_to_point r t point =
-  Telemetry.timed tm_span_point (fun () -> run_to_point_inner r t point)
+  Timeline.scope "replay.point" (fun () -> run_to_point_inner r t point)
 
 (* ---- frame handlers --------------------------------------------------- *)
 
@@ -560,13 +558,14 @@ let on_exit r ~tid ~status =
 
 let apply_frame r e =
   (* Every frame lands in the event ring: an emergency dump after a
-     divergence shows the last ring_capacity frames that led up to it. *)
-  Telemetry.note ~tid:(E.tid_of e) ~frame:(cursor_index r)
-    ~kind:(E.kind_name e) "";
+     divergence shows the events that led up to it, this frame's own
+     entry included. *)
+  Timeline.instant ~lane:(E.tid_of e) ~frame:(cursor_index r)
+    (E.kind_name e);
   (* Frame application reports on the frame's task lane. *)
   Timeline.set_lane (E.tid_of e);
   Fun.protect ~finally:(fun () -> Timeline.set_lane 0) @@ fun () ->
-  Telemetry.timed tm_span_frame @@ fun () ->
+  Timeline.scope "replay.frame" @@ fun () ->
   (match e with
   | E.E_exec { tid; image_ref; regs_after } -> on_exec r ~tid ~image_ref ~regs_after
   | E.E_rr_setup { tid; rr_page; locals; scratch; buf; buf_len = _ } ->
@@ -642,7 +641,7 @@ let start ?(opts = default_opts) trace =
       installed = [];
       tm_base = Telemetry.snapshot () }
   in
-  Telemetry.set_clock (fun () -> K.now r.k);
+  Timeline.set_virtual_clock (fun () -> K.now r.k);
   install_hook r k;
   install_rdrand_hooks k;
   r
@@ -685,11 +684,11 @@ let replay ?(opts = default_opts) ?(on_frame = fun (_ : K.t) -> ()) trace =
      Log.err (fun m ->
          m "replay diverged at frame %d:@,%a" (cursor_index r) Diagnostics.pp r.k);
      Timeline.end_scope "replay.session";
-     Telemetry.clear_clock ();
+     Timeline.clear_virtual_clock ();
      raise exn);
   let stats = stats_of r in
   Timeline.end_scope "replay.session";
-  Telemetry.clear_clock ();
+  Timeline.clear_virtual_clock ();
   (stats, r.k)
 
 (* ---- checkpoints (paper §6.1) ----------------------------------------
@@ -871,7 +870,7 @@ let check_restore trace snap =
 (* Rebuild a live replayer from a snapshot. *)
 let restore_unchecked ?(opts = default_opts) trace snap =
   Telemetry.incr tm_ckpt_restore;
-  Telemetry.note ~frame:snap.snap_idx ~kind:"replay.checkpoint_restore" "";
+  Timeline.instant ~frame:snap.snap_idx "replay.checkpoint_restore";
   Timeline.scope "replay.ckpt_restore" @@ fun () ->
   let k = K.create ~seed:opts.seed () in
   (* Reposition by stored frame index: a fresh cursor seeks through the
@@ -890,7 +889,7 @@ let restore_unchecked ?(opts = default_opts) trace snap =
       installed = snap.snap_installed;
       tm_base = Telemetry.snapshot () }
   in
-  Telemetry.set_clock (fun () -> K.now r.k);
+  Timeline.set_virtual_clock (fun () -> K.now r.k);
   install_hook r k;
   install_rdrand_hooks k;
   List.iter

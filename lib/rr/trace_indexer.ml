@@ -11,7 +11,6 @@ module K = Kernel
 module A = Addr_space
 
 let tm_build = Telemetry.counter "index.build"
-let tm_build_span = Telemetry.span "index.build_time"
 
 (* Cap the durable-checkpoint count by default: each blob carries a full
    page image (no cross-blob sharing), so "a handful per trace" is the
@@ -21,7 +20,7 @@ let default_every n = max 1 ((n + 15) / 16)
 let build ?(opts = Replayer.default_opts) ?checkpoint_every trace =
   Telemetry.incr tm_build;
   Timeline.scope "index.session" @@ fun () ->
-  Telemetry.timed tm_build_span (fun () ->
+  Timeline.scope "index.build_time" (fun () ->
       let n = Trace.n_events trace in
       let every =
         match checkpoint_every with
@@ -45,7 +44,7 @@ let build ?(opts = Replayer.default_opts) ?checkpoint_every trace =
       Fun.protect
         ~finally:(fun () ->
           A.clear_write_observer ();
-          Telemetry.clear_clock ())
+          Timeline.clear_virtual_clock ())
         (fun () ->
           while not (Replayer.at_end r) do
             Hashtbl.reset touched;

@@ -63,8 +63,6 @@ let tm_chunk_miss = Telemetry.counter "trace.chunk.miss"
 let tm_chunk_evict = Telemetry.counter "trace.chunk.evict"
 let tm_chunk_flush = Telemetry.counter "trace.chunk.flush"
 let tm_deflate_ratio = Telemetry.histogram "trace.deflate.ratio_pct"
-let tm_deflate = Telemetry.span "trace.deflate"
-let tm_inflate = Telemetry.span "trace.inflate"
 let tm_crc_fail = Telemetry.counter "trace.crc_fail"
 let tm_salvage_runs = Telemetry.counter "salvage.runs"
 let tm_salvage_chunks = Telemetry.counter "salvage.chunks_recovered"
@@ -659,7 +657,7 @@ module Writer = struct
       Telemetry.incr tm_chunk_flush;
       let stored =
         if w.compress then
-          Telemetry.timed tm_deflate (fun () -> Compress.deflate raw)
+          Timeline.scope "trace.deflate" (fun () -> Compress.deflate raw)
         else Timeline.scope "trace.store" (fun () -> raw)
       in
       let stored_len = String.length stored in
@@ -843,7 +841,7 @@ let decode_chunk_raw t ~idx ci stored =
   try
     let raw =
       if t.compressed then
-        Telemetry.timed tm_inflate (fun () -> Compress.inflate stored)
+        Timeline.scope "trace.inflate" (fun () -> Compress.inflate stored)
       else stored
     in
     let s = Codec.source raw in

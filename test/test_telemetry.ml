@@ -1,19 +1,22 @@
-(* The telemetry layer (lib/obs): registry semantics, the virtual
-   clock, the event ring, sinks, snapshot diffs, JSON rendering — and
-   end-to-end: a record+replay session populates the expected
-   counters/spans. *)
+(* The telemetry layer (lib/obs): registry semantics, span aggregates
+   and the event ring as fed by Timeline scopes and instants, snapshot
+   diffs, JSON rendering — and end-to-end: a record+replay session
+   populates the expected counters/spans. *)
 
 module Tm = Telemetry
+module Tl = Timeline
 
 let find_counter snap name =
   match List.assoc_opt name snap.Tm.snap_counters with
   | Some v -> v
   | None -> Alcotest.failf "counter %s not in snapshot" name
 
+(* Spans register on their first pass, so a span that never ran is
+   simply absent: read it as count 0. *)
 let find_span snap name =
   match List.assoc_opt name snap.Tm.snap_spans with
   | Some s -> s
-  | None -> Alcotest.failf "span %s not in snapshot" name
+  | None -> { Tm.s_count = 0; s_total_ns = 0; s_max_ns = 0 }
 
 let test_counter_registry () =
   Tm.reset ();
@@ -43,31 +46,57 @@ let test_gauge_and_histogram () =
   Alcotest.(check bool) "only non-empty buckets" true
     (List.for_all (fun (_, c) -> c > 0) hs.Tm.h_buckets)
 
-let test_span_clock () =
+(* Scopes feed the span aggregate with the timeline off: counted with
+   no clock installed, timed on the virtual clock once one is, recorded
+   even when the body raises, and fed into the <name>.ns histogram. *)
+let test_scope_aggregate () =
   Tm.reset ();
-  let sp = Tm.span "t.phase" in
-  (* no clock installed: zero-duration, still counted *)
-  Tm.timed sp (fun () -> ());
-  Alcotest.(check int) "counted without clock" 1 (Tm.span_count sp);
+  Alcotest.(check bool) "timeline off" false (Tl.enabled ());
+  let buffered = List.length (Tl.events ()) in
+  Tl.scope "t.phase" (fun () -> ());
+  Alcotest.(check int) "counted without clock" 1
+    (find_span (Tm.snapshot ()) "t.phase").Tm.s_count;
   let now = ref 0 in
-  Tm.set_clock (fun () -> !now);
-  Tm.timed sp (fun () -> now := !now + 500);
-  Tm.clear_clock ();
+  Tl.set_virtual_clock (fun () -> !now);
+  Fun.protect ~finally:Tl.clear_virtual_clock (fun () ->
+      Tl.scope "t.phase" (fun () -> now := !now + 500);
+      try Tl.scope "t.phase" (fun () -> failwith "boom") with Failure _ -> ());
   let s = find_span (Tm.snapshot ()) "t.phase" in
   Alcotest.(check int) "total" 500 s.Tm.s_total_ns;
   Alcotest.(check int) "max" 500 s.Tm.s_max_ns;
-  (* exception safety: the span records even when the thunk raises *)
-  (try Tm.timed sp (fun () -> failwith "boom") with Failure _ -> ());
-  Alcotest.(check int) "raised thunk still counted" 3 (Tm.span_count sp);
-  (* each span duration also feeds the <name>.ns histogram *)
-  let snap = Tm.snapshot () in
-  let hs = List.assoc "t.phase.ns" snap.Tm.snap_histograms in
-  Alcotest.(check int) "span feeds histogram" 3 hs.Tm.h_count
+  Alcotest.(check int) "raised body still counted" 3 s.Tm.s_count;
+  let hs = List.assoc "t.phase.ns" (Tm.snapshot ()).Tm.snap_histograms in
+  Alcotest.(check int) "scope feeds histogram" 3 hs.Tm.h_count;
+  Alcotest.(check int) "histogram sum" 500 hs.Tm.h_sum;
+  Alcotest.(check int) "nothing recorded on the timeline" buffered
+    (List.length (Tl.events ()))
+
+(* An instant always reaches the ring with its frame and detail; with
+   the timeline on it also lands in the buffer. *)
+let test_instant_ring_and_buffer () =
+  Tm.reset ();
+  Tl.instant ~lane:7 ~frame:42 ~detail:"off" "t.inst";
+  (match Tm.recent () with
+  | [ e ] ->
+    Alcotest.(check (list string)) "kind and detail" [ "t.inst"; "off" ]
+      [ e.Tm.kind; e.Tm.detail ];
+    Alcotest.(check (pair int int)) "tid and frame" (7, 42) (e.Tm.tid, e.Tm.frame)
+  | evs -> Alcotest.failf "expected one ring event, got %d" (List.length evs));
+  Tl.start ();
+  Tl.instant ~lane:7 ~frame:43 ~detail:"on" "t.inst";
+  Tl.stop ();
+  Alcotest.(check (list int)) "both in the ring" [ 42; 43 ]
+    (List.map (fun e -> e.Tm.frame) (Tm.recent ()));
+  match Tl.events () with
+  | [ e ] ->
+    Alcotest.(check bool) "buffer holds the instant" true
+      (e.Tl.ev_kind = Tl.I && e.Tl.ev_name = "t.inst" && e.Tl.ev_lane = 7)
+  | evs -> Alcotest.failf "expected one buffered event, got %d" (List.length evs)
 
 let test_ring_wraps () =
   Tm.reset ();
   for i = 0 to Tm.ring_capacity + 9 do
-    Tm.note ~tid:i ~kind:"t.e" (string_of_int i)
+    Tl.instant ~lane:i ~detail:(string_of_int i) "t.e"
   done;
   let evs = Tm.recent () in
   Alcotest.(check int) "capped at capacity" Tm.ring_capacity (List.length evs);
@@ -77,67 +106,6 @@ let test_ring_wraps () =
     (List.nth seqs (Tm.ring_capacity - 1));
   Alcotest.(check bool) "monotone" true
     (List.for_all2 ( < ) seqs (List.tl seqs @ [ max_int ]))
-
-let test_memory_sink () =
-  Tm.reset ();
-  Tm.set_sink Tm.Memory;
-  Tm.note ~kind:"a" "1";
-  Tm.note ~kind:"b" "2";
-  let evs = Tm.memory_events () in
-  Alcotest.(check (list string)) "all events, oldest first" [ "a"; "b" ]
-    (List.map (fun e -> e.Tm.kind) evs);
-  Tm.set_sink Tm.Null;
-  Alcotest.(check int) "switching sinks clears the buffer" 0
-    (List.length (Tm.memory_events ()))
-
-let test_jsonl_sink () =
-  Tm.reset ();
-  let path = Filename.temp_file "telemetry" ".jsonl" in
-  Tm.set_sink (Tm.Jsonl path);
-  Tm.note ~tid:3 ~frame:7 ~kind:"t.j" "detail \"quoted\"";
-  Tm.note ~kind:"t.k" "";
-  Tm.set_sink Tm.Null (* closes the channel *);
-  let ic = open_in path in
-  let lines = ref [] in
-  (try
-     while true do
-       lines := input_line ic :: !lines
-     done
-   with End_of_file -> close_in ic);
-  Sys.remove path;
-  let lines = List.rev !lines in
-  Alcotest.(check int) "one line per event" 2 (List.length lines);
-  let l = List.hd lines in
-  Alcotest.(check bool) "escaped JSON" true
-    (String.length l > 0 && l.[0] = '{')
-
-(* Regression: the Jsonl sink flushes after every note, so a tail -f /
-   crashed-recorder post-mortem sees each event as soon as it is
-   emitted — without closing or switching the sink. *)
-let test_jsonl_flushes_per_note () =
-  Tm.reset ();
-  let path = Filename.temp_file "telemetry" ".jsonl" in
-  Tm.set_sink (Tm.Jsonl path);
-  Tm.note ~kind:"t.f1" "first";
-  Tm.note ~kind:"t.f2" "second";
-  let read_lines () =
-    let ic = open_in path in
-    let lines = ref [] in
-    (try
-       while true do
-         lines := input_line ic :: !lines
-       done
-     with End_of_file -> close_in ic);
-    List.rev !lines
-  in
-  (* the channel is still open: both lines must already be on disk *)
-  let lines = read_lines () in
-  Alcotest.(check int) "visible before close" 2 (List.length lines);
-  Tm.note ~kind:"t.f3" "third";
-  Alcotest.(check int) "and after each further note" 3
-    (List.length (read_lines ()));
-  Tm.set_sink Tm.Null;
-  Sys.remove path
 
 let test_hist_quantiles () =
   Tm.reset ();
@@ -175,12 +143,15 @@ let test_hist_quantiles () =
 let test_since_diff () =
   Tm.reset ();
   let c = Tm.counter "t.d" in
-  let sp = Tm.span "t.dspan" in
+  let now = ref 0 in
+  let timed ns = Tl.scope "t.dspan" (fun () -> now := !now + ns) in
+  Tl.set_virtual_clock (fun () -> !now);
+  Fun.protect ~finally:Tl.clear_virtual_clock @@ fun () ->
   Tm.add c 10;
-  Tm.span_add sp 100;
+  timed 100;
   let base = Tm.snapshot () in
   Tm.add c 5;
-  Tm.span_add sp 30;
+  timed 30;
   let diff = Tm.since base in
   Alcotest.(check int) "counter diff" 5 (find_counter diff "t.d");
   let s = find_span diff "t.dspan" in
@@ -190,7 +161,7 @@ let test_since_diff () =
 let test_json_shape () =
   Tm.reset ();
   Tm.incr (Tm.counter "t.json");
-  Tm.note ~kind:"t.ev" "x";
+  Tl.instant ~detail:"x" "t.ev";
   let j = Tm.snapshot_to_json (Tm.snapshot ()) in
   List.iter
     (fun key ->
@@ -247,7 +218,7 @@ let test_domain_hammer () =
     for i = 1 to iters do
       Tm.incr c;
       Tm.observe h i;
-      if i mod 1000 = 0 then Tm.note ~kind:"hammer" "tick"
+      if i mod 1000 = 0 then Tl.instant ~detail:"tick" "t.hammer"
     done
   in
   let a = Pool.submit p work and b = Pool.submit p work in
@@ -269,12 +240,10 @@ let suites =
       [ Alcotest.test_case "counter registry + reset" `Quick
           test_counter_registry;
         Alcotest.test_case "gauge + histogram" `Quick test_gauge_and_histogram;
-        Alcotest.test_case "span + virtual clock" `Quick test_span_clock;
+        Alcotest.test_case "span + virtual clock" `Quick test_scope_aggregate;
+        Alcotest.test_case "instant reaches ring and buffer" `Quick
+          test_instant_ring_and_buffer;
         Alcotest.test_case "ring wraps at capacity" `Quick test_ring_wraps;
-        Alcotest.test_case "memory sink" `Quick test_memory_sink;
-        Alcotest.test_case "jsonl sink" `Quick test_jsonl_sink;
-        Alcotest.test_case "jsonl flushes per note" `Quick
-          test_jsonl_flushes_per_note;
         Alcotest.test_case "histogram quantiles" `Quick test_hist_quantiles;
         Alcotest.test_case "since diff" `Quick test_since_diff;
         Alcotest.test_case "json shape" `Quick test_json_shape;

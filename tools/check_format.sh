@@ -59,6 +59,19 @@ check_file() {
     fi
     ;;
   esac
+  # One timing primitive, one event stream: outside lib/obs a phase is
+  # timed only with Timeline.scope and an event is emitted only with
+  # Timeline.instant.  Telemetry's span aggregate and event ring are
+  # fed by Timeline; calling them directly would bypass the timeline.
+  case "$f" in
+  *lib/obs/*) ;;
+  *)
+    if grep -qE 'Telemetry\.(span|span_add|note)\b' "$f"; then
+      echo "format: $f calls Telemetry.span/span_add/note; use Timeline.scope or Timeline.instant" >&2
+      status=1
+    fi
+    ;;
+  esac
   # Timeline scope/instant/counter names are dotted <layer>.<verb>
   # (kern.run, trace.deflate): the first segment becomes the Chrome
   # [cat] field and the attribution ledger groups by full name, so an
