@@ -1,5 +1,11 @@
 (** Guest address spaces: byte-addressed COW data pages plus a
-    word-addressed text table (Harvard simplification; DESIGN.md §6). *)
+    word-addressed text table (Harvard simplification; DESIGN.md §6).
+
+    Text is stored in pages of decoded slots, and each space caches the
+    last text page and the last data page it used, so an ordinary
+    instruction neither hashes nor allocates.  Every change to [pages]
+    goes through this module, which keeps the data cache coherent; read
+    the tables only through the functions below. *)
 
 type access = Read | Write | Exec
 
@@ -24,12 +30,22 @@ type region = {
 type t = {
   id : int;
   pages : (int, Mem.page) Hashtbl.t;
-  text : (int, Insn.t) Hashtbl.t;
+  mutable tlb_idx : int;
+  mutable tlb_page : Mem.page;
+  text : (int, Insn.t option array) Hashtbl.t;
+  mutable text_pi : int;
+  mutable text_page : Insn.t option array;
   written_text : (int, unit) Hashtbl.t;
   breakpoints : (int, unit) Hashtbl.t;
   mutable regions : region list;
   mutable mmap_cursor : int;
 }
+
+val text_shift : int
+val text_mask : int
+(** A text page holds the [1 lsl text_shift] slots from
+    [pi lsl text_shift]; slot [addr land text_mask] of page
+    [addr asr text_shift] holds [addr]. *)
 
 val mmap_base : int
 val stack_top : int
@@ -53,6 +69,10 @@ val unmap : t -> addr:int -> len:int -> unit
 val unmap_all : t -> unit
 val protect : t -> addr:int -> len:int -> prot:Mem.prot -> unit
 
+val install_page : t -> index:int -> Mem.page -> unit
+(** Map frame [p] at data page [index], taking a reference to it and
+    dropping the one held on any frame it replaces. *)
+
 val set_write_observer : (t -> addr:int -> len:int -> unit) -> unit
 val clear_write_observer : unit -> unit
 (** A process-global hook invoked before every data write (all byte
@@ -67,7 +87,9 @@ val write_u64 : ?force:bool -> t -> int -> int -> unit
 val read_bytes : ?force:bool -> t -> int -> int -> bytes
 val write_bytes : ?force:bool -> t -> int -> bytes -> unit
 (** Data accessors.  [force] bypasses protection checks (kernel and
-    supervisor accesses).  All raise {!Segv} on unmapped addresses. *)
+    supervisor accesses).  All raise {!Segv} on unmapped addresses.
+    [write_u64] is atomic across a page boundary: a fault on either page
+    leaves both untouched. *)
 
 val loaded_insns : int ref
 (** Global count of instructions loaded by [text_load] (program images),
@@ -76,6 +98,12 @@ val loaded_insns : int ref
 val text_get : t -> int -> Insn.t option
 val text_set : t -> int -> Insn.t -> unit
 val text_load : t -> base:int -> Insn.t array -> unit
+
+val text_fold : (int -> Insn.t -> 'a -> 'a) -> t -> 'a -> 'a
+(** Fold over every loaded instruction, in no particular order. *)
+
+val text_count : t -> int
+(** Number of loaded instruction slots. *)
 
 val text_write : t -> int -> Insn.t -> unit
 (** A {e run-time} code write ([Emit]): also marks the address in
@@ -86,7 +114,6 @@ val text_was_written : t -> int -> bool
 val bp_set : t -> int -> unit
 val bp_clear : t -> int -> unit
 val bp_is_set : t -> int -> bool
-val bp_any : t -> bool
 
 val fork : t -> id:int -> t
 (** COW-share every frame; the basis of cheap checkpoints. *)

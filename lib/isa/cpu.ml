@@ -51,12 +51,26 @@ let copy_regs ctx = Array.copy ctx.regs
 
 let set_regs ctx regs = Array.blit regs 0 ctx.regs 0 Insn.num_regs
 
-let operand ctx = function Insn.Imm v -> v | Insn.Reg r -> ctx.regs.(r)
+let[@inline] operand ctx = function Insn.Imm v -> v | Insn.Reg r -> ctx.regs.(r)
 
 let mask_shift v = v land 63
 
+(* [b] is nonzero for [Div] and [Rem]: the caller faults first. *)
+let[@inline] alu op a b =
+  match op with
+  | Insn.Add -> a + b
+  | Insn.Sub -> a - b
+  | Insn.Mul -> a * b
+  | Insn.Div -> a / b
+  | Insn.Rem -> a mod b
+  | Insn.And -> a land b
+  | Insn.Or -> a lor b
+  | Insn.Xor -> a lxor b
+  | Insn.Shl -> a lsl mask_shift b
+  | Insn.Shr -> a lsr mask_shift b
+
 (* Execute exactly one instruction; assumes no breakpoint at pc.
-   Returns [None] for ordinary retirement. *)
+   Returns [None] for ordinary retirement, which allocates nothing. *)
 let exec_one env ctx insn =
   let module I = Insn in
   let regs = ctx.regs in
@@ -71,24 +85,11 @@ let exec_one env ctx insn =
     ctx.pc <- ctx.pc + 1;
     None
   | I.Alu (op, r, o) ->
-    let a = regs.(r) and b = operand ctx o in
-    let result =
-      match op with
-      | I.Add -> Some (a + b)
-      | I.Sub -> Some (a - b)
-      | I.Mul -> Some (a * b)
-      | I.Div -> if b = 0 then None else Some (a / b)
-      | I.Rem -> if b = 0 then None else Some (a mod b)
-      | I.And -> Some (a land b)
-      | I.Or -> Some (a lor b)
-      | I.Xor -> Some (a lxor b)
-      | I.Shl -> Some (a lsl mask_shift b)
-      | I.Shr -> Some (a lsr mask_shift b)
-    in
-    (match result with
-    | None -> Some (Stop_fault (F_div ctx.pc))
-    | Some v ->
-      regs.(r) <- v;
+    let b = operand ctx o in
+    (match op with
+    | (I.Div | I.Rem) when b = 0 -> Some (Stop_fault (F_div ctx.pc))
+    | _ ->
+      regs.(r) <- alu op regs.(r) b;
       ctx.pc <- ctx.pc + 1;
       None)
   | I.Load (d, b, off) ->
@@ -194,29 +195,60 @@ let exec_one env ctx insn =
       None)
   | I.Halt -> Some (Stop_fault (F_ill ctx.pc))
 
+(* The default (dev) build compiles each module opaquely, so a call into
+   another module is never inlined.  The per-instruction checks inline
+   their common case here: an empty breakpoint table, a fetch from the
+   space's cached text page, and a PMU interrupt that cannot fire yet
+   (not primed and [rcb] below target, where [Pmu.tick_interrupt]
+   changes nothing). *)
+let[@inline] fetch space pc =
+  if pc asr Addr_space.text_shift = space.Addr_space.text_pi then
+    space.Addr_space.text_page.(pc land Addr_space.text_mask)
+  else Addr_space.text_get space pc
+
+let[@inline] tick pmu =
+  match pmu.Pmu.interrupt with
+  | None -> false
+  | Some i when (not i.Pmu.primed) && pmu.Pmu.rcb < i.Pmu.target -> false
+  | Some _ -> Pmu.tick_interrupt pmu
+
 (* Run until a stop or for at most [fuel] instructions.  Returns the stop
-   (None if fuel ran out) and the number of instructions retired. *)
+   (None if fuel ran out) and the number of instructions retired.  An
+   instruction that retires without stopping allocates nothing and, with
+   no breakpoint set, hashes nothing: the text and data lookups hit the
+   space's one-entry caches. *)
 let run env ctx ~fuel =
   let steps = ref 0 in
   let stop = ref None in
+  let running = ref (fuel > 0) in
+  let halt s =
+    stop := Some s;
+    running := false
+  in
   (try
-     while !stop = None && !steps < fuel do
-       if Addr_space.bp_is_set ctx.space ctx.pc then stop := Some Stop_bkpt
+     while !running do
+       let space = ctx.space in
+       if
+         Hashtbl.length space.Addr_space.breakpoints > 0
+         && Addr_space.bp_is_set space ctx.pc
+       then
+         halt Stop_bkpt
        else begin
-         match Addr_space.text_get ctx.space ctx.pc with
-         | None -> stop := Some (Stop_fault (F_ill ctx.pc))
+         match fetch space ctx.pc with
+         | None -> halt (Stop_fault (F_ill ctx.pc))
          | Some insn ->
            let s = exec_one env ctx insn in
            incr steps;
            (* The PMU interrupt takes priority over synchronous stops only
               if the instruction retired normally; a syscall/hook stop is
               delivered first and the interrupt stays pending. *)
-           let fired = Pmu.tick_interrupt ctx.pmu in
+           let fired = tick ctx.pmu in
            (match s with
-           | Some _ -> stop := s
+           | Some s -> halt s
            | None ->
-             if fired then stop := Some Stop_pmu
-             else if ctx.single_step then stop := Some Stop_singlestep)
+             if fired then halt Stop_pmu
+             else if ctx.single_step then halt Stop_singlestep
+             else if !steps >= fuel then running := false)
        end
      done
    with Addr_space.Segv { addr; access } ->

@@ -30,7 +30,7 @@ let program_interrupt t ~target ~skid =
 
 let clear_interrupt t = t.interrupt <- None
 
-let interrupt_armed t = t.interrupt <> None
+let interrupt_armed t = match t.interrupt with Some _ -> true | None -> false
 
 (* Called once per retired instruction; true when the overflow interrupt
    fires on this instruction boundary. *)

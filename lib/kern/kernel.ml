@@ -1562,14 +1562,19 @@ let next_stopped k =
 
 (* Run the world until some traced task enters a ptrace-stop. *)
 let wait k =
-  let result = ref None in
-  while !result = None do
+  let result = ref All_dead in
+  let waiting = ref true in
+  let finish r =
+    result := r;
+    waiting := false
+  in
+  while !waiting do
     match next_stopped k with
-    | Some (t, stop) -> result := Some (Stopped_task (t, stop))
+    | Some (t, stop) -> finish (Stopped_task (t, stop))
     | None -> (
       wake_sleepers k;
       let live = live_tasks k in
-      if live = [] then result := Some All_dead
+      if live = [] then finish All_dead
       else
         match List.find_opt (fun t -> t.T.state = T.Runnable) live with
         | Some t ->
@@ -1589,17 +1594,15 @@ let wait k =
           in
           (match blocked_sleepers with
           | [] ->
-            if List.for_all (fun t -> t.T.state = T.Stopped) live then
-              (* Everyone is sitting in a ptrace-stop the supervisor has
-                 already consumed: nothing will ever happen. *)
-              result := Some (Deadlocked (List.map (fun t -> t.T.tid) live))
-            else
-              result := Some (Deadlocked (List.map (fun t -> t.T.tid) live))
+            (* Every live task is blocked for good or sits in a
+               ptrace-stop the supervisor has already consumed: nothing
+               will ever happen. *)
+            finish (Deadlocked (List.map (fun t -> t.T.tid) live))
           | d :: rest ->
             k.clock <- max k.clock (List.fold_left min d rest);
             wake_sleepers k))
   done;
-  match !result with Some r -> r | None -> assert false
+  !result
 
 (* ------------------------------------------------------------------ *)
 (* Spawning and supervisor conveniences.                               *)

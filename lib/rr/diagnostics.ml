@@ -51,7 +51,7 @@ let pp_task ppf (t : T.t) =
   Fmt.pf ppf "  space #%d: %d regions, %d pages, %d text slots@,"
     t.T.cpu.Cpu.space.A.id regions
     (Hashtbl.length t.T.cpu.Cpu.space.A.pages)
-    (Hashtbl.length t.T.cpu.Cpu.space.A.text)
+    (A.text_count t.T.cpu.Cpu.space)
 
 let pp ppf (k : K.t) =
   Fmt.pf ppf "@[<v>=== emergency state dump (paper §6.2) ===@,";

@@ -1149,13 +1149,16 @@ let put_space ids b (a : A.t) =
       Codec.put_int b idx;
       Codec.put_uvarint b (Page_ids.id_of ids (Hashtbl.find a.A.pages idx)))
     page_idxs;
-  let text_addrs = sorted_keys a.A.text in
-  Codec.put_uvarint b (List.length text_addrs);
+  let text =
+    A.text_fold (fun addr insn acc -> (addr, insn) :: acc) a []
+    |> List.sort (fun (x, _) (y, _) -> Int.compare x y)
+  in
+  Codec.put_uvarint b (List.length text);
   List.iter
-    (fun addr ->
+    (fun (addr, insn) ->
       Codec.put_int b addr;
-      Image_codec.put_insn b (Hashtbl.find a.A.text addr))
-    text_addrs;
+      Image_codec.put_insn b insn)
+    text;
   Codec.put_list b Codec.put_int (sorted_keys a.A.written_text);
   Codec.put_list b Codec.put_int (sorted_keys a.A.breakpoints)
 
@@ -1170,14 +1173,12 @@ let get_space pages s : A.t =
     let pid = Codec.get_uvarint s in
     if pid < 0 || pid >= Array.length pages then
       raise (Codec.Corrupt "snapshot: page id out of range");
-    let p = pages.(pid) in
-    Mem.incref p;
-    Hashtbl.replace a.A.pages idx p
+    A.install_page a ~index:idx pages.(pid)
   done;
   let n_text = Codec.get_uvarint s in
   for _ = 1 to n_text do
     let addr = Codec.get_int s in
-    Hashtbl.replace a.A.text addr (Image_codec.get_insn s)
+    A.text_set a addr (Image_codec.get_insn s)
   done;
   List.iter
     (fun addr -> Hashtbl.replace a.A.written_text addr ())

@@ -555,10 +555,10 @@ let patch_site task ~site =
 (* Scan a freshly exec'd image for RDRAND instructions; returns the sites
    (the recorder patches them and records patch frames). *)
 let find_rdrand_sites task =
-  Hashtbl.fold
+  A.text_fold
     (fun addr insn acc ->
       match insn with Insn.Rdrand _ -> addr :: acc | _ -> acc)
-    (space task).A.text []
+    (space task) []
   |> List.sort compare
 
 (* Scan a freshly exec'd image for patchable syscall sites, for eager
@@ -569,10 +569,10 @@ let find_rdrand_sites task =
    cannot buffer, so patching is always safe when the follower shape
    is. *)
 let find_syscall_sites task =
-  Hashtbl.fold
+  A.text_fold
     (fun addr insn acc ->
       match insn with
       | Insn.Syscall when can_patch task ~site:addr -> addr :: acc
       | _ -> acc)
-    (space task).A.text []
+    (space task) []
   |> List.sort compare

@@ -36,11 +36,19 @@ let build ?(opts = Replayer.default_opts) ?checkpoint_every trace =
       in
       checkpoint ();
       let touched : (int, unit) Hashtbl.t = Hashtbl.create 64 in
+      (* The last page noted in this frame: most stores hit it again, and
+         noting it twice changes nothing. *)
+      let last = ref (-1) in
       A.set_write_observer (fun _space ~addr ~len ->
-          if len > 0 then
-            for p = Mem.page_index addr to Mem.page_index (addr + len - 1) do
-              Hashtbl.replace touched p ()
-            done);
+          if len > 0 then begin
+            let lo = Mem.page_index addr
+            and hi = Mem.page_index (addr + len - 1) in
+            if lo <> !last || hi <> lo then
+              for p = lo to hi do
+                Hashtbl.replace touched p ()
+              done;
+            last := hi
+          end);
       Fun.protect
         ~finally:(fun () ->
           A.clear_write_observer ();
@@ -48,6 +56,7 @@ let build ?(opts = Replayer.default_opts) ?checkpoint_every trace =
         (fun () ->
           while not (Replayer.at_end r) do
             Hashtbl.reset touched;
+            last := -1;
             let e = Replayer.step r in
             let pages = Hashtbl.fold (fun p () acc -> p :: acc) touched [] in
             Trace_index.note_frame b e ~pages

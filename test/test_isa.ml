@@ -38,10 +38,22 @@ let test_mem_rw () =
 
 let test_mem_unmapped () =
   let space = Addr_space.create ~id:1 in
-  match Addr_space.read_u64 space 0x9999_0000 with
+  (match Addr_space.read_u64 space 0x9999_0000 with
   | _ -> Alcotest.fail "expected Segv"
   | exception Addr_space.Segv { addr; _ } ->
-    Alcotest.(check int) "fault addr" 0x9999_0000 addr
+    Alcotest.(check int) "fault addr" 0x9999_0000 addr);
+  (* Unmapping the page the last access went through must not leave it
+     reachable. *)
+  ignore (Addr_space.map space ~addr:0x4000 ~len:8192 ~prot:Mem.prot_rw ());
+  Addr_space.write_u64 space 0x4000 5;
+  Alcotest.(check int) "cached read" 5 (Addr_space.read_u64 space 0x4000);
+  Addr_space.unmap space ~addr:0x4000 ~len:4096;
+  (match Addr_space.read_u64 space 0x4000 with
+  | _ -> Alcotest.fail "read of an unmapped page succeeded"
+  | exception Addr_space.Segv { addr; _ } ->
+    Alcotest.(check int) "unmapped fault addr" 0x4000 addr);
+  Alcotest.(check int) "the other page survives" 0
+    (Addr_space.read_u64 space 0x5000)
 
 let test_mem_prot () =
   let space = Addr_space.create ~id:1 in
@@ -66,7 +78,15 @@ let test_mem_cow_fork () =
     (Addr_space.read_u64 parent 0x4000);
   Addr_space.write_u64 parent 0x4008 333;
   Alcotest.(check int) "child unchanged after parent write" 0
-    (Addr_space.read_u64 child 0x4008)
+    (Addr_space.read_u64 child 0x4008);
+  (* The parent writes first this time, to the page its last access
+     went through: the write must unshare it. *)
+  let child2 = Addr_space.fork parent ~id:3 in
+  Addr_space.write_u64 parent 0x4000 444;
+  Alcotest.(check int) "parent sees its write" 444
+    (Addr_space.read_u64 parent 0x4000);
+  Alcotest.(check int) "second child keeps the old bytes" 111
+    (Addr_space.read_u64 child2 0x4000)
 
 let test_pss_sharing () =
   let parent = Addr_space.create ~id:1 in
@@ -199,7 +219,9 @@ let test_cpu_singlestep () =
   | other -> Alcotest.failf "expected singlestep, got %a" pp_stop_opt other
 
 let test_cpu_emit_jit () =
-  (* Emit "mov r5, 77" at a fresh text address, then jump to it. *)
+  (* Emit "mov r5, 77" at a fresh text address, then jump to it.  0x9000
+     is on no text page until the Emit creates one, while the running
+     program's page at 0x1000 is the space's cached one. *)
   let mov_encoded =
     match Insn.encode (Insn.Mov (5, Insn.Imm 77)) with
     | Some v -> v
@@ -390,6 +412,269 @@ let qcheck_rcb_equals_jcc_retired =
       in
       ctx.Cpu.pmu.Pmu.rcb = n)
 
+(* ---- the allocation-free step loop --------------------------------- *)
+
+(* Every common instruction shape, in a loop of about 100k retired
+   instructions.  An ordinary instruction must not allocate: the text and
+   data lookups hit the space's one-entry caches and the ALU computes an
+   unboxed int.  This is a count, not a timing, so it is deterministic. *)
+let test_step_loop_allocation_free () =
+  let space = fresh_space () in
+  let prog =
+    Asm.assemble ~base:0x1000
+      [ Asm.movi 15 0x5000;
+        Asm.movi 14 0x4000;
+        Asm.movi 1 6_000;
+        Asm.label "loop";
+        Asm.movr 2 1;
+        Asm.addi 2 3;
+        Asm.I (Insn.Alu (Insn.Xor, 2, Insn.Reg 1));
+        Asm.I (Insn.Alu (Insn.Div, 2, Insn.Imm 7));
+        Asm.store 2 14 8;
+        Asm.load 3 14 8;
+        Asm.store8 3 14 16;
+        Asm.load8 4 14 16;
+        Asm.push (Insn.Reg 4);
+        Asm.pop 5;
+        Asm.call "fn";
+        Asm.movr 7 1;
+        Asm.I (Insn.Cas (14, 6, 7, 8));
+        Asm.subi 1 1;
+        Asm.jnz 1 "loop";
+        Asm.I Insn.Halt;
+        Asm.label "fn";
+        Asm.addi 9 1;
+        Asm.ret ]
+  in
+  Addr_space.text_load space ~base:0x1000 prog.Asm.code;
+  let ctx = Cpu.create ~space in
+  ctx.Cpu.pc <- 0x1000;
+  let before = Gc.minor_words () in
+  let stop, steps = Cpu.run null_env ctx ~fuel:1_000_000 in
+  let words = Gc.minor_words () -. before in
+  (match stop with
+  | Some (Cpu.Stop_fault (Cpu.F_ill _)) -> ()
+  | other -> Alcotest.failf "expected the final halt, got %a" pp_stop_opt other);
+  Alcotest.(check bool) "ran about 100k instructions" true (steps > 90_000);
+  let rate = words /. float_of_int steps in
+  if rate >= 0.05 then
+    Alcotest.failf "%.3f minor words per instruction over %d steps" rate steps
+
+(* ---- cache invalidation -------------------------------------------- *)
+
+let test_tlb_protect_faults_next_store () =
+  (* The page is COW-shared with a fork, so [protect] unshares it: the
+     cache must not keep the frame the child still maps. *)
+  let space = fresh_space () in
+  Addr_space.write_u64 space 0x4000 1;
+  let child = Addr_space.fork space ~id:2 in
+  Alcotest.(check int) "cached" 1 (Addr_space.read_u64 space 0x4000);
+  Addr_space.protect space ~addr:0x4000 ~len:4096 ~prot:Mem.prot_r;
+  (match Addr_space.write_u64 space 0x4000 2 with
+  | () -> Alcotest.fail "store to a read-only page succeeded"
+  | exception Addr_space.Segv { access = Addr_space.Write; _ } -> ()
+  | exception Addr_space.Segv _ -> Alcotest.fail "wrong access kind");
+  Alcotest.(check int) "value kept" 1 (Addr_space.read_u64 space 0x4000);
+  Addr_space.write_u64 ~force:true space 0x4000 3;
+  Alcotest.(check int) "forced write lands" 3 (Addr_space.read_u64 space 0x4000);
+  Alcotest.(check int) "child keeps its frame" 1
+    (Addr_space.read_u64 child 0x4000);
+  Addr_space.write_u64 child 0x4000 4;
+  Alcotest.(check int) "child still writable" 4
+    (Addr_space.read_u64 child 0x4000)
+
+let test_install_page_replaces_cached_frame () =
+  let space = fresh_space () in
+  Addr_space.write_u64 space 0x4000 1;
+  let frame = Mem.fresh_page () in
+  Bytes.set_int64_le frame.Mem.bytes 0 2L;
+  Addr_space.install_page space ~index:(Mem.page_index 0x4000) frame;
+  Alcotest.(check int) "reads the installed frame" 2
+    (Addr_space.read_u64 space 0x4000);
+  Alcotest.(check int) "installed frame is referenced" 2 frame.Mem.refs
+
+let test_exec_drops_stale_text () =
+  (* Run a program, then replace the image the way execve does:
+     the cached text page must not survive [unmap_all]. *)
+  let space = fresh_space () in
+  let old_prog =
+    Asm.assemble ~base:0x1000
+      [ Asm.movi 1 1; Asm.movi 2 2; Asm.movi 3 3; Asm.I Insn.Halt ]
+  in
+  Addr_space.text_load space ~base:0x1000 old_prog.Asm.code;
+  let ctx = Cpu.create ~space in
+  ctx.Cpu.pc <- 0x1000;
+  ignore (Cpu.run null_env ctx ~fuel:100);
+  Alcotest.(check int) "old image ran" 3 ctx.Cpu.regs.(3);
+  Addr_space.unmap_all space;
+  let new_prog = Asm.assemble ~base:0x1000 [ Asm.movi 1 10 ] in
+  Addr_space.text_load space ~base:0x1000 new_prog.Asm.code;
+  Cpu.set_regs ctx (Array.make Insn.num_regs 0);
+  ctx.Cpu.pc <- 0x1000;
+  let stop, steps = Cpu.run null_env ctx ~fuel:100 in
+  Alcotest.(check int) "new image ran" 10 ctx.Cpu.regs.(1);
+  Alcotest.(check int) "old code past the new image is gone" 0
+    ctx.Cpu.regs.(2);
+  Alcotest.(check int) "one instruction" 1 steps;
+  Alcotest.(check int) "text count" 1 (Addr_space.text_count space);
+  match stop with
+  | Some (Cpu.Stop_fault (Cpu.F_ill 0x1001)) -> ()
+  | other -> Alcotest.failf "expected ILL at 0x1001, got %a" pp_stop_opt other
+
+let test_breakpoint_after_empty_run () =
+  let space = fresh_space () in
+  let prog =
+    Asm.assemble ~base:0x1000
+      [ Asm.movi 1 3; Asm.label "l"; Asm.subi 1 1; Asm.jnz 1 "l"; Asm.movi 2 9;
+        Asm.I Insn.Halt ]
+  in
+  Addr_space.text_load space ~base:0x1000 prog.Asm.code;
+  let ctx = Cpu.create ~space in
+  ctx.Cpu.pc <- 0x1000;
+  let _, steps = Cpu.run null_env ctx ~fuel:2 in
+  Alcotest.(check int) "ran with no breakpoint" 2 steps;
+  Addr_space.bp_set space 0x1003;
+  let stop, _ = Cpu.run null_env ctx ~fuel:100 in
+  (match stop with
+  | Some Cpu.Stop_bkpt -> ()
+  | other -> Alcotest.failf "expected bkpt, got %a" pp_stop_opt other);
+  Alcotest.(check int) "pc at breakpoint" 0x1003 ctx.Cpu.pc;
+  Alcotest.(check int) "not yet executed" 0 ctx.Cpu.regs.(2)
+
+(* A page-crossing store writes nothing when either page faults, and the
+   write observer sees it once. *)
+let test_write_u64_cross_page_atomic () =
+  let space = Addr_space.create ~id:1 in
+  ignore (Addr_space.map space ~addr:0x4000 ~len:4096 ~prot:Mem.prot_rw ());
+  ignore (Addr_space.map space ~addr:0x5000 ~len:4096 ~prot:Mem.prot_r ());
+  let calls = ref 0 in
+  Addr_space.set_write_observer (fun _ ~addr:_ ~len:_ -> incr calls);
+  Fun.protect ~finally:Addr_space.clear_write_observer (fun () ->
+      let expect_fault what =
+        match Addr_space.write_u64 space 0x4ffc (-1) with
+        | () -> Alcotest.failf "%s: store succeeded" what
+        | exception Addr_space.Segv { addr; access = Addr_space.Write } ->
+          Alcotest.(check int) (what ^ ": fault addr") 0x5000 addr;
+          Alcotest.(check int) (what ^ ": first page untouched") 0
+            (Addr_space.read_u64 space 0x4ff8)
+        | exception Addr_space.Segv _ -> Alcotest.failf "%s: wrong access" what
+      in
+      expect_fault "read-only second page";
+      Addr_space.unmap space ~addr:0x5000 ~len:4096;
+      expect_fault "unmapped second page";
+      ignore (Addr_space.map space ~addr:0x5000 ~len:4096 ~prot:Mem.prot_rw ());
+      calls := 0;
+      Addr_space.write_u64 space 0x4ffc 0x0102030405060708;
+      Alcotest.(check int) "observed once" 1 !calls;
+      Alcotest.(check int) "value" 0x0102030405060708
+        (Addr_space.read_u64 space 0x4ffc);
+      Alcotest.(check int) "low half on the first page" 0x05060708
+        (Addr_space.read_u64 space 0x4ff8 lsr 32))
+
+(* A checkpoint blob rebuilds every space's text exactly: recorded and
+   patched code as well as JIT-emitted code. *)
+let test_snapshot_preserves_text () =
+  let w =
+    Wl_octane.make
+      ~params:{ Wl_octane.threads = 2; iters = 20; calls_per_emit = 20; crunch = 200 }
+      ()
+  in
+  let recd, _ = Workload.record w in
+  let trace = recd.Workload.trace in
+  let r = Replayer.start trace in
+  let half = Trace.n_events trace / 2 in
+  while Replayer.cursor_index r < half do
+    ignore (Replayer.step r)
+  done;
+  let snap =
+    Replayer.decode_snapshot (Replayer.encode_snapshot (Replayer.snapshot r))
+  in
+  let r2 = Replayer.restore_exn trace snap in
+  let spaces r =
+    List.map
+      (fun t -> (t.Task.tid, t.Task.proc.Task.space))
+      (Kernel.live_tasks (Replayer.kernel r))
+    |> List.sort compare
+  in
+  let before = spaces r and after = spaces r2 in
+  Alcotest.(check (list int)) "same tasks" (List.map fst before)
+    (List.map fst after);
+  let jit = ref 0 in
+  List.iter2
+    (fun (tid, a) (_, b) ->
+      Alcotest.(check int)
+        (Printf.sprintf "task %d: text count" tid)
+        (Addr_space.text_count a) (Addr_space.text_count b);
+      Addr_space.text_fold
+        (fun addr insn () ->
+          if Addr_space.text_was_written a addr then incr jit;
+          if Addr_space.text_get b addr <> Some insn then
+            Alcotest.failf "task %d: text differs at %#x" tid addr)
+        a ())
+    before after;
+  Alcotest.(check bool) "the checkpoint holds emitted code" true (!jit > 0)
+
+(* Stepping one instruction at a time ends in the same state as one long
+   run: fuel boundaries and the caches change nothing observable. *)
+let stepping_program_gen =
+  QCheck.Gen.(
+    let reg = int_bound 12 in
+    let alu =
+      oneofl
+        Insn.[ Add; Sub; Mul; Div; Rem; And; Or; Xor; Shl; Shr ]
+    in
+    let insn =
+      oneof
+        [ map2 (fun r v -> Asm.movi r (v land 0xffff)) reg int;
+          map3 (fun o r s -> Asm.I (Insn.Alu (o, r, Insn.Reg s))) alu reg reg;
+          map3 (fun o r v -> Asm.I (Insn.Alu (o, r, Insn.Imm (v land 0xff))))
+            alu reg int;
+          map2 (fun r off -> Asm.store r 14 (off mod 0x1ff9)) reg nat;
+          map2 (fun r off -> Asm.load r 14 (off mod 0x1ff9)) reg nat;
+          map2 (fun r off -> Asm.store8 r 14 (off land 0x1fff)) reg nat;
+          map2 (fun r off -> Asm.load8 r 14 (off land 0x1fff)) reg nat;
+          map (fun r -> Asm.push (Insn.Reg r)) reg;
+          map Asm.pop reg;
+          map3 (fun e n d -> Asm.I (Insn.Cas (14, e, n, d))) reg reg reg ]
+    in
+    map2
+      (fun n body ->
+        [ Asm.movi 14 0x4000; Asm.movi 15 0x5f00; Asm.movi 13 n;
+          Asm.label "top" ]
+        @ body
+        @ [ Asm.subi 13 1; Asm.jnz 13 "top"; Asm.I Insn.Halt ])
+      (int_range 1 5)
+      (list_size (1 -- 30) insn))
+
+let qcheck_stepping_matches_long_run =
+  QCheck.Test.make ~name:"fuel:1 stepping matches one long run" ~count:150
+    (QCheck.make stepping_program_gen) (fun items ->
+      let start () =
+        let space = fresh_space () in
+        let prog = Asm.assemble ~base:0x1000 items in
+        Addr_space.text_load space ~base:0x1000 prog.Asm.code;
+        let ctx = Cpu.create ~space in
+        ctx.Cpu.pc <- 0x1000;
+        ctx
+      in
+      let state ctx stop =
+        ( stop,
+          Array.to_list (Cpu.copy_regs ctx),
+          ctx.Cpu.pc,
+          Pmu.snapshot ctx.Cpu.pmu,
+          Checksum.space ctx.Cpu.space )
+      in
+      let long = start () in
+      let stop, _ = Cpu.run null_env long ~fuel:1_000_000 in
+      let stepped = start () in
+      let rec step n =
+        match Cpu.run null_env stepped ~fuel:1 with
+        | None, 1 when n < 1_000_000 -> step (n + 1)
+        | stop, _ -> stop
+      in
+      let stop' = step 0 in
+      state long stop = state stepped stop')
+
 let suites =
   [ ( "isa.asm",
       [ Alcotest.test_case "labels" `Quick test_assemble_labels;
@@ -427,4 +712,20 @@ let suites =
         QCheck_alcotest.to_alcotest qcheck_entropy_range ] );
     ( "isa.determinism",
       [ QCheck_alcotest.to_alcotest qcheck_program_determinism;
-        QCheck_alcotest.to_alcotest qcheck_rcb_equals_jcc_retired ] ) ]
+        QCheck_alcotest.to_alcotest qcheck_rcb_equals_jcc_retired;
+        QCheck_alcotest.to_alcotest qcheck_stepping_matches_long_run ] );
+    ( "isa.fastpath",
+      [ Alcotest.test_case "step loop allocates nothing" `Quick
+          test_step_loop_allocation_free;
+        Alcotest.test_case "protect faults the next store" `Quick
+          test_tlb_protect_faults_next_store;
+        Alcotest.test_case "install_page replaces a cached frame" `Quick
+          test_install_page_replaces_cached_frame;
+        Alcotest.test_case "exec drops stale text" `Quick
+          test_exec_drops_stale_text;
+        Alcotest.test_case "breakpoint after an empty-table run" `Quick
+          test_breakpoint_after_empty_run;
+        Alcotest.test_case "page-crossing store is atomic" `Quick
+          test_write_u64_cross_page_atomic;
+        Alcotest.test_case "snapshot preserves text" `Quick
+          test_snapshot_preserves_text ] ) ]
