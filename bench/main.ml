@@ -550,7 +550,7 @@ let seek_bench ~smoke () =
         (* Cold open each time: the index must pay off from disk, with
            no live checkpoints to lean on. *)
         let cold use_index =
-          let t = Trace.load_exn path in
+          let t = Trace.open_exn path in
           let d = Debugger.create ~opts:(Debugger.make_opts ~use_index ()) t in
           let (), s = host_time (fun () -> Debugger.seek d target) in
           (d, s)
@@ -579,13 +579,17 @@ let seek_bench ~smoke () =
           n target indexed_s scan_s)
       echoes
   in
-  let oc = open_out "BENCH_seek.json" in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      Printf.fprintf oc "{\"smoke\":%b,\"points\":[%s]}\n" smoke
-        (String.concat "," points));
-  Fmt.pr "(wrote BENCH_seek.json)@."
+  (* A smoke run is a gate, not a measurement: it leaves the artifact
+     alone. *)
+  if not smoke then begin
+    let oc = open_out "BENCH_seek.json" in
+    Fun.protect
+      ~finally:(fun () -> close_out oc)
+      (fun () ->
+        Printf.fprintf oc "{\"smoke\":false,\"points\":[%s]}\n"
+          (String.concat "," points));
+    Fmt.pr "(wrote BENCH_seek.json)@."
+  end
 
 (* ---- Bechamel microbenchmarks (host time of core primitives) --------- *)
 
@@ -746,23 +750,25 @@ let fleet ~smoke () =
   let mb_per_s =
     float_of_int !total_standalone /. 1048576. /. max 1e-6 store_s
   in
-  let oc = open_out "BENCH_fleet.json" in
-  Printf.fprintf oc
-    "{\"smoke\":%b,\"instances\":%d,\"dedup_ratio\":%.2f,\n\
-    \ \"object_bytes\":%d,\"logical_bytes\":%d,\"manifest_bytes\":%d,\n\
-    \ \"shared_objects\":%d,\"standalone_bytes\":%d,\"store_mb_per_s\":%.1f,\n\
-    \ \"ring\":{\"chunks\":%d,\"resident_bytes\":%d,\"dropped_chunks\":%d}}\n"
-    smoke n dedup stats.Repo.object_bytes stats.Repo.logical_bytes
-    stats.Repo.manifest_bytes stats.Repo.shared_objects !total_standalone
-    mb_per_s report.Trace.rr_chunks report.Trace.rr_resident_bytes
-    report.Trace.rr_dropped_chunks;
-  close_out oc;
   Fmt.pr
     "fleet: %d instances into one repo; dedup %.2fx (logical %d / object \
      %d), %.1f MB/s store, ring resident %dB after %d dropped chunks@."
     n dedup stats.Repo.logical_bytes stats.Repo.object_bytes mb_per_s
     report.Trace.rr_resident_bytes report.Trace.rr_dropped_chunks;
-  Fmt.pr "(wrote BENCH_fleet.json)@."
+  if not smoke then begin
+    let oc = open_out "BENCH_fleet.json" in
+    Printf.fprintf oc
+      "{\"smoke\":false,\"instances\":%d,\"dedup_ratio\":%.2f,\n\
+      \ \"object_bytes\":%d,\"logical_bytes\":%d,\"manifest_bytes\":%d,\n\
+      \ \"shared_objects\":%d,\"standalone_bytes\":%d,\"store_mb_per_s\":%.1f,\n\
+      \ \"ring\":{\"chunks\":%d,\"resident_bytes\":%d,\"dropped_chunks\":%d}}\n"
+      n dedup stats.Repo.object_bytes stats.Repo.logical_bytes
+      stats.Repo.manifest_bytes stats.Repo.shared_objects !total_standalone
+      mb_per_s report.Trace.rr_chunks report.Trace.rr_resident_bytes
+      report.Trace.rr_dropped_chunks;
+    close_out oc;
+    Fmt.pr "(wrote BENCH_fleet.json)@."
+  end
 
 (* ---- serve: heavy-traffic server recording + per-connection shards --
 

@@ -4,11 +4,15 @@
    duration of one invocation; the CLI chains phases the way the real rr
    binary chains `rr record` / `rr replay` / `rr dump`:
 
-     rr_cli record cp            record a workload, print stats
+     rr_cli record cp -o t.trace record a workload, print stats, save it
      rr_cli replay cp            record then replay, verify equivalence
-     rr_cli dump cp -n 30        print the first 30 trace frames
+     rr_cli replay t.trace       replay a saved trace
+     rr_cli dump t.trace -n 30   print the first 30 trace frames
      rr_cli debug cp --port 2345 record, then serve the trace to gdb
-     rr_cli list                 available workloads *)
+     rr_cli list                 available workloads
+
+   Correctness checks live in the test suite (test/test_identity.ml and
+   friends), not in the CLI. *)
 
 open Cmdliner
 
@@ -39,18 +43,11 @@ module Flags = struct
       & pos 0 (some string) None
       & info [] ~docv:"WORKLOAD" ~doc:workload_doc)
 
-  (* For subcommands where --smoke replaces the positional argument. *)
-  let opt_workload =
-    Arg.(value & pos 0 (some string) None & info [] ~docv:"WORKLOAD" ~doc:workload_doc)
-
   let trace_file =
     Arg.(
       required
       & pos 0 (some string) None
       & info [] ~docv:"TRACE" ~doc:"A saved trace file.")
-
-  let opt_trace_file ~doc =
-    Arg.(value & pos 0 (some string) None & info [] ~docv:"TRACE" ~doc)
 
   let no_intercept =
     let doc = "Disable in-process syscall interception (paper §3)." in
@@ -73,7 +70,9 @@ module Flags = struct
   let out ~doc =
     Arg.(value & opt (some string) None & info [ "o"; "out" ] ~docv:"FILE" ~doc)
 
-  let smoke ~doc = Arg.(value & flag & info [ "smoke" ] ~doc)
+  let target =
+    let doc = "A saved trace file, or a workload name to record first." in
+    Arg.(required & pos 0 (some string) None & info [] ~docv:"TARGET" ~doc)
 
   let repo_dir =
     Arg.(
@@ -130,93 +129,19 @@ let open_repo dir =
     Fmt.epr "rr_cli: %a@." Repo.pp_error e;
     exit 1
 
-(* Self-contained flight-recorder check (`record --smoke`): record a
-   reference trace, then (a) kill a roomy-ring recording mid-run via the
-   event-limit guard and require the retained window to be a replayable
-   prefix of the reference whose last frame matches the live run, and
-   (b) run a 2-chunk ring to completion and require the dropped-oldest
-   window to equal the reference's tail, watermark-aligned. *)
-let record_ring_smoke () =
-  let wl () = Wl_cp.make ~params:{ Wl_cp.files = 16; file_kb = 64 } () in
-  let fail fmt =
-    Fmt.kstr
-      (fun m ->
-        Fmt.epr "record --smoke: %s@." m;
-        exit 1)
-      fmt
-  in
-  (* Small chunks and no syscall interception, so the trace is many
-     small frames and the ring turns over on a small workload. *)
-  let mk ?max_events ?sink () =
-    Recorder.make_opts ~intercept:false ~chunk_limit:256 ?max_events ?sink ()
-  in
-  let w = wl () in
-  let ref_trace, _, _ =
-    Recorder.record ~opts:(mk ()) ~setup:w.Workload.setup ~exe:w.Workload.exe
-      ()
-  in
-  let reference = Trace.Reader.to_array ref_trace in
-  let total = Array.length reference in
-  if Array.length (Trace.chunk_index ref_trace) < 4 then
-    fail "reference trace too small to exercise the ring (%d chunks, %d frames, %a)"
-      (Array.length (Trace.chunk_index ref_trace))
-      total Trace.pp_stats (Trace.stats ref_trace);
-  (* (a) killed mid-run, no drops: the window is a pure prefix. *)
-  let ring = Trace.ring ~chunks:4096 in
-  let w = wl () in
-  let opts =
-    mk ~max_events:(total / 2) ~sink:(Recorder.Sink_ring ring) ()
-  in
-  (match Recorder.run ~opts ~setup:w.Workload.setup ~exe:w.Workload.exe () with
-  | Error (Recorder.Rec_failure _) -> ()
-  | Error (Recorder.Rec_trace e) ->
-    fail "kill run: wrong error class: %s" (Trace.error_to_string e)
-  | Ok _ -> fail "kill run: the event-limit guard never fired");
-  let window, report = Trace.ring_trace ring in
-  if report.Trace.rr_dropped_chunks <> 0 || report.Trace.rr_base_frame <> 0 then
-    fail "kill run: roomy ring dropped chunks (%a)" Trace.pp_ring_report report;
-  let frames = Trace.Reader.to_array window in
-  let n = Array.length frames in
-  if n = 0 then fail "kill run: empty window";
-  Array.iteri
-    (fun i e ->
-      if e <> reference.(i) then fail "kill run: window frame %d diverges" i)
-    frames;
-  (match Replayer.replay window with
-  | (_ : Replayer.stats * Kernel.t) -> ()
-  | exception e ->
-    fail "kill run: salvaged window does not replay: %s" (Printexc.to_string e));
-  Fmt.pr
-    "record --smoke: killed at event %d/%d; window of %d frames is a \
-     replayable prefix (last frame matches the live run)@."
-    (total / 2) total n;
-  (* (b) bounded ring on a full run: drop-oldest, watermark-aligned. *)
-  let ring = Trace.ring ~chunks:2 in
-  let w = wl () in
-  let opts = mk ~sink:(Recorder.Sink_ring ring) () in
-  (match Recorder.run ~opts ~setup:w.Workload.setup ~exe:w.Workload.exe () with
-  | Ok _ -> ()
-  | Error e -> fail "bounded run failed: %s" (Recorder.error_to_string e));
-  let window, report = Trace.ring_trace ring in
-  if report.Trace.rr_dropped_chunks = 0 || report.Trace.rr_base_frame = 0 then
-    fail "bounded run: 2-chunk ring never dropped (%a)" Trace.pp_ring_report
-      report;
-  let frames = Trace.Reader.to_array window in
-  let base_frame = report.Trace.rr_base_frame in
-  if base_frame + Array.length frames <> total then
-    fail "bounded run: window [%d, %d) does not end at the live run's end (%d)"
-      base_frame
-      (base_frame + Array.length frames)
-      total;
-  Array.iteri
-    (fun i e ->
-      if e <> reference.(base_frame + i) then
-        fail "bounded run: window frame %d diverges from live frame %d" i
-          (base_frame + i))
-    frames;
-  Fmt.pr "record --smoke: 2-chunk ring retained the tail [%d, %d) of %d \
-          frames; %a@."
-    base_frame total total Trace.pp_ring_report report
+(* A command TARGET is a saved trace file, or a workload name that
+   [record] records on the spot; the recording's stats come back with
+   the trace so callers can check a replay against them. *)
+let trace_of_target ~record target =
+  if Sys.file_exists target then (Trace.open_exn target, None)
+  else
+    match workload_of_name target with
+    | exception Failure _ ->
+      Fmt.failwith "%s is neither a trace file nor a workload (try: rr_cli list)"
+        target
+    | w ->
+      let recd = record w in
+      (recd.Workload.trace, Some recd.Workload.rec_stats)
 
 let record_cmd =
   let ring_arg =
@@ -249,14 +174,6 @@ let record_cmd =
             "Store the trace (or the dumped ring window) \
              content-addressed in the repository at $(docv), created if \
              missing; shared chunks dedup against what is already there.")
-  in
-  let smoke_arg =
-    Flags.smoke
-      ~doc:
-        "Run the built-in flight-recorder check instead: a recording \
-         killed mid-run must salvage its ring window into a replayable \
-         prefix, and a 2-chunk ring must retain exactly the live run's \
-         tail."
   in
   let record_plain w opts out repo =
     let recd =
@@ -295,7 +212,7 @@ let record_cmd =
   let record_flight w opts out repo chunks dump_on =
     let triggers =
       match dump_on with
-      | [] -> [ Recorder.On_always ]
+      | [] -> [ Flight.On_always ]
       | l ->
         List.map
           (fun s ->
@@ -309,7 +226,6 @@ let record_cmd =
               exit 2)
           l
     in
-    let opts = Recorder.with_dump_on opts triggers in
     let ring = Trace.ring ~chunks in
     let dump =
       match (repo, out) with
@@ -326,8 +242,8 @@ let record_cmd =
       | None, None -> None
     in
     match
-      Flight.record ~opts ?dump ~ring ~setup:w.Workload.setup
-        ~exe:w.Workload.exe ()
+      Flight.record ~opts ~dump_on:triggers ?dump ~ring
+        ~setup:w.Workload.setup ~exe:w.Workload.exe ()
     with
     | Error e ->
       Fmt.epr "rr_cli: dump failed: %a@." Recorder.pp_error e;
@@ -348,21 +264,12 @@ let record_cmd =
       | Some where -> Fmt.pr "  window dumped  : %s@." where
       | None -> ())
   in
-  let run name opts out ring dump_on repo smoke =
+  let run name opts out ring dump_on repo =
     with_trace_errors @@ fun () ->
-    if smoke then record_ring_smoke ()
-    else begin
-      let w =
-        match name with
-        | Some n -> workload_of_name n
-        | None ->
-          Fmt.epr "rr_cli: record needs a WORKLOAD argument (or --smoke)@.";
-          exit 2
-      in
-      match ring with
-      | Some chunks -> record_flight w opts out repo chunks dump_on
-      | None -> record_plain w opts out repo
-    end
+    let w = workload_of_name name in
+    match ring with
+    | Some chunks -> record_flight w opts out repo chunks dump_on
+    | None -> record_plain w opts out repo
   in
   Cmd.v
     (Cmd.info "record"
@@ -372,9 +279,9 @@ let record_cmd =
           when a --dump-on trigger fires.  With --repo, the trace is \
           stored content-addressed.")
     Term.(
-      const run $ Flags.opt_workload $ Flags.record_opts
+      const run $ Flags.workload $ Flags.record_opts
       $ Flags.out ~doc:"Save the trace (or the dumped ring window) to FILE."
-      $ ring_arg $ dump_on_arg $ repo_arg $ smoke_arg)
+      $ ring_arg $ dump_on_arg $ repo_arg)
 
 (* replay_cmd is defined after the shard helpers below: its --conn mode
    extracts and replays a single connection's sub-trace. *)
@@ -383,12 +290,14 @@ let dump_cmd =
   let n_arg =
     Arg.(value & opt int 40 & info [ "n" ] ~doc:"Number of frames to print.")
   in
-  let run name n =
-    let w = workload_of_name name in
-    let recd, _ = Workload.record w in
-    let trace = recd.Workload.trace in
+  let run target n =
+    with_trace_errors @@ fun () ->
+    let trace, _ =
+      trace_of_target ~record:(fun w -> fst (Workload.record w)) target
+    in
     let total = Trace.n_events trace in
-    Fmt.pr "trace of %s: %d frames@." w.Workload.name total;
+    Fmt.pr "%s: %d frames, %a@." target total Trace.pp_stats (Trace.stats trace);
+    (* Only the chunks covering the first [n] frames are inflated. *)
     let c = Trace.Reader.open_ trace in
     while Trace.Reader.pos c < min n total do
       let i = Trace.Reader.pos c in
@@ -402,8 +311,11 @@ let dump_cmd =
       st.Trace.lru_hits st.Trace.lru_misses st.Trace.lru_evictions
   in
   Cmd.v
-    (Cmd.info "dump" ~doc:"Record a workload and print its trace frames.")
-    Term.(const run $ Flags.workload $ n_arg)
+    (Cmd.info "dump"
+       ~doc:
+         "Print the frames of a saved trace, or of a workload recorded on \
+          the spot.")
+    Term.(const run $ Flags.target $ n_arg)
 
 (* debug TARGET: TARGET is a saved trace file, or a workload name that
    is recorded on the spot (interception off so every syscall is its own
@@ -443,14 +355,8 @@ let debug_cmd =
           ~doc:"Checkpoint cadence in frames (clamped to >= 1).")
   in
   let trace_of_target target =
-    if Sys.file_exists target then Trace.load_exn target
-    else begin
-      let w = workload_of_name target in
-      let recd, _ =
-        Workload.record ~opts:(Recorder.make_opts ~intercept:false ()) w
-      in
-      recd.Workload.trace
-    end
+    let opts = Recorder.make_opts ~intercept:false () in
+    fst (trace_of_target ~record:(fun w -> fst (Workload.record ~opts w)) target)
   in
   let serve_transport trace checkpoint_every tr =
     let d =
@@ -502,10 +408,6 @@ let debug_cmd =
       Fmt.epr "rr_cli: choose one of --port, --socket, --script@.";
       exit 2
   in
-  let target_arg =
-    let doc = "A saved trace file, or a workload name to record first." in
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"TARGET" ~doc)
-  in
   Cmd.v
     (Cmd.info "debug"
        ~doc:
@@ -513,148 +415,25 @@ let debug_cmd =
           gdb over the remote serial protocol (--port/--socket) or run a \
           scripted RSP session (--script).")
     Term.(
-      const run $ target_arg $ port_arg $ sockpath_arg
+      const run $ Flags.target $ port_arg $ sockpath_arg
       $ script_arg $ cp_every_arg)
 
-let replay_file_cmd =
-  let run path =
-    with_trace_errors @@ fun () ->
-    let trace = Trace.load_exn path in
-    let stats, _ = Replayer.replay trace in
-    Fmt.pr "replayed %s: exit=%a, %d frames@." path
-      Fmt.(option ~none:(any "?") int)
-      stats.Replayer.exit_status stats.Replayer.events_applied
-  in
-  Cmd.v
-    (Cmd.info "replay-file" ~doc:"Replay a trace saved with record -o.")
-    Term.(const run $ Flags.trace_file)
-
-let dump_file_cmd =
-  let n_arg =
-    Arg.(value & opt int 40 & info [ "n" ] ~doc:"Number of frames to print.")
-  in
-  let run path n =
-    with_trace_errors @@ fun () ->
-    let trace = Trace.load_exn path in
-    let total = Trace.n_events trace in
-    Fmt.pr "%s: %d frames, %a@." path total Trace.pp_stats
-      (Trace.stats trace);
-    (* Only the chunks covering the first [n] frames are inflated. *)
-    let c = Trace.Reader.open_ trace in
-    while Trace.Reader.pos c < min n total do
-      let i = Trace.Reader.pos c in
-      Fmt.pr "%5d  %a@." i Event.pp (Trace.Reader.next c)
-    done;
-    let st = Trace.stats trace in
-    Fmt.pr "(decoded %d of %d chunks; lru %d hits / %d misses / %d evictions)@."
-      (Trace.decoded_chunks trace)
-      (Array.length (Trace.chunk_index trace))
-      st.Trace.lru_hits st.Trace.lru_misses st.Trace.lru_evictions
-  in
-  Cmd.v
-    (Cmd.info "dump-file" ~doc:"Print the frames of a saved trace.")
-    Term.(const run $ Flags.trace_file $ n_arg)
-
-(* Self-contained durability check: record sambatest, save it, guillotine
-   the file at several offsets inside the record stream, and require
-   every cut to salvage into a replayable prefix of the original.  Used
-   by `dune runtest` as an end-to-end crash-recovery gate. *)
-let repair_smoke () =
-  let w = workload_of_name "sambatest" in
-  let recd, _ = Workload.record w in
-  let trace = recd.Workload.trace in
-  let path = Filename.temp_file "rr_smoke" ".trace" in
-  Trace.save_exn trace path;
-  let data = In_channel.with_open_bin path In_channel.input_all in
-  Sys.remove path;
-  let len = String.length data in
-  (* Cut inside the body (before the footer), so every cut exercises
-     the record scanner rather than just the footer check. *)
-  let body = Int64.to_int (String.get_int64_le data (len - 16)) in
-  let orig = Trace.Reader.to_array trace in
-  let total = Array.length orig in
-  let failures = ref 0 in
-  (* Three cuts: early in the record stream (most data lost), one byte
-     into the last record's CRC (the final chunk is dropped), and at
-     the trailer offset (every record intact, commit footer gone — the
-     exact state a writer killed between flush and finish leaves). *)
-  List.iter
-    (fun cut ->
-      let tpath = Filename.temp_file "rr_smoke" ".cut" in
-      Out_channel.with_open_bin tpath (fun oc ->
-          Out_channel.output_string oc (String.sub data 0 cut));
-      (match Trace.salvage tpath with
-      | Ok (t, report) ->
-        let frames = Trace.Reader.to_array t in
-        let n = Array.length frames in
-        let prefix_ok =
-          n <= total
-          &&
-          let ok = ref true in
-          Array.iteri (fun i e -> if e <> orig.(i) then ok := false) frames;
-          !ok
-        in
-        let replay_ok =
-          n = 0
-          ||
-          match Replayer.replay t with
-          | _ -> true
-          | exception e ->
-            Fmt.epr "cut@%d: replay of salvaged prefix raised %s@." cut
-              (Printexc.to_string e);
-            false
-        in
-        Fmt.pr "cut@%d: recovered %d/%d frames, prefix %s, replay %s@." cut n
-          total
-          (if prefix_ok then "ok" else "MISMATCH")
-          (if replay_ok then "ok" else "FAILED");
-        Fmt.pr "  %a@." Trace.pp_salvage_report report;
-        if not (prefix_ok && replay_ok) then incr failures
-      | Error e ->
-        Fmt.pr "cut@%d: unsalvageable: %a@." cut Trace.pp_error e;
-        incr failures);
-      Sys.remove tpath)
-    [ max 9 (35 * body / 100); body - 1; body ];
-  if !failures > 0 then begin
-    Fmt.epr "repair --smoke: %d of 3 cuts failed@." !failures;
-    exit 1
-  end
-  else Fmt.pr "repair --smoke: all cuts salvaged into replayable prefixes@."
-
 let repair_cmd =
-  let smoke_arg =
-    Flags.smoke
-      ~doc:
-        "Run the built-in crash-recovery check instead of repairing a file: \
-         record the sambatest workload, truncate its saved trace at three \
-         offsets, and verify each cut salvages into a replayable prefix."
-  in
-  let opt_file_arg =
-    Flags.opt_trace_file ~doc:"A (possibly damaged) saved trace file."
-  in
-  let run path smoke out =
+  let run path out =
     with_trace_errors @@ fun () ->
-    if smoke then repair_smoke ()
-    else begin
-      match path with
-      | None ->
-        Fmt.epr "rr_cli: repair needs a TRACE argument (or --smoke)@.";
-        exit 2
-      | Some path -> (
-        match Trace.salvage path with
-        | Ok (t, report) ->
-          Fmt.pr "%a@." Trace.pp_salvage_report report;
-          (match out with
-          | Some out_path ->
-            Trace.save_exn t out_path;
-            Fmt.pr "repaired trace (%d frames) saved to %s@."
-              (Trace.n_events t) out_path
-          | None -> ());
-          if report.Trace.sr_damage <> None then exit 3
-        | Error e ->
-          Fmt.epr "rr_cli: nothing recoverable: %a@." Trace.pp_error e;
-          exit 1)
-    end
+    match Trace.salvage path with
+    | Ok (t, report) ->
+      Fmt.pr "%a@." Trace.pp_salvage_report report;
+      (match out with
+      | Some out_path ->
+        Trace.save_exn t out_path;
+        Fmt.pr "repaired trace (%d frames) saved to %s@." (Trace.n_events t)
+          out_path
+      | None -> ());
+      if report.Trace.sr_damage <> None then exit 3
+    | Error e ->
+      Fmt.epr "rr_cli: nothing recoverable: %a@." Trace.pp_error e;
+      exit 1
   in
   let out_arg =
     Flags.out
@@ -667,106 +446,9 @@ let repair_cmd =
           report what was lost.  Exits 0 if the file was intact, 3 if \
           something was recovered but data was lost, 1 if nothing was \
           recoverable.")
-    Term.(const run $ opt_file_arg $ smoke_arg $ out_arg)
-
-(* Self-contained index check: record sambatest, index it, save, reopen
-   cold, and require (a) the index to come back from disk, (b) a deep
-   seek to restore a durable checkpoint instead of replaying from frame
-   0 (the index.hit / replay.checkpoint_restore counters say so), and
-   (c) indexed query answers to equal scan answers on the same trace. *)
-let index_smoke () =
-  let w = workload_of_name "sambatest" in
-  let recd, _ = Workload.record w in
-  let trace = recd.Workload.trace in
-  ignore (Trace_indexer.build_and_attach ~checkpoint_every:8 trace);
-  let path = Filename.temp_file "rr_index" ".trace" in
-  Trace.save_exn trace path;
-  let t2 = Trace.load_exn path in
-  Sys.remove path;
-  if Trace.index t2 = None then begin
-    Fmt.epr "index --smoke: reopened trace carries no index@.";
-    exit 1
-  end;
-  let n = Trace.n_events t2 in
-  let hit = Telemetry.counter "index.hit" in
-  let restores = Telemetry.counter "replay.checkpoint_restore" in
-  let hit0 = Telemetry.counter_value hit in
-  let restores0 = Telemetry.counter_value restores in
-  let d = Debugger.create t2 in
-  Debugger.seek d (n - 1);
-  let hits = Telemetry.counter_value hit - hit0 in
-  let restored = Telemetry.counter_value restores - restores0 in
-  if hits < 1 || restored < 1 then begin
-    Fmt.epr
-      "index --smoke: cold seek to frame %d replayed from scratch \
-       (index.hit +%d, checkpoint_restore +%d)@."
-      (n - 1) hits restored;
-    exit 1
-  end;
-  Fmt.pr "index --smoke: cold seek to frame %d used a durable checkpoint \
-          (index.hit +%d, restores +%d)@."
-    (n - 1) hits restored;
-  (* Answer equality, indexed vs. scan, on the same reopened trace. *)
-  let d0 =
-    Debugger.create ~opts:(Debugger.make_opts ~use_index:false ()) t2
-  in
-  Debugger.seek d0 (n - 1);
-  let root =
-    match Trace.Reader.frame t2 0 with
-    | Event.E_exec { tid; _ } -> tid
-    | e -> Event.tid_of e
-  in
-  let failures = ref 0 in
-  let check what a b =
-    if a <> b then begin
-      Fmt.epr "index --smoke: %s: indexed %a <> scan %a@." what
-        Fmt.(Dump.option int) a
-        Fmt.(Dump.option int) b;
-      incr failures
-    end
-  in
-  let pcs =
-    Array.to_seq (Trace.Reader.to_array t2)
-    |> Seq.filter_map Event.frame_pc
-    |> List.of_seq |> List.sort_uniq compare
-  in
-  List.iteri
-    (fun i pc ->
-      if i < 8 then
-        check
-          (Printf.sprintf "prev_exec %#x" pc)
-          (Result.get_ok (Debugger.Query.prev_exec d ~pc))
-          (Result.get_ok (Debugger.Query.prev_exec d0 ~pc)))
-    pcs;
-  List.iter
-    (fun addr ->
-      check
-        (Printf.sprintf "last_write %#x" addr)
-        (Result.get_ok (Debugger.Query.last_write d ~tid:root ~addr ~len:8))
-        (Result.get_ok (Debugger.Query.last_write d0 ~tid:root ~addr ~len:8)))
-    [ 0x120000; 0x121000; 0x10000 ];
-  Debugger.seek d (n / 2);
-  let mid_clock = Debugger.clock d in
-  check "seek_to_time"
-    (Result.to_option (Debugger.Query.seek_to_time d mid_clock))
-    (Result.to_option (Debugger.Query.seek_to_time d0 mid_clock));
-  if !failures > 0 then begin
-    Fmt.epr "index --smoke: %d indexed answers diverged from scans@." !failures;
-    exit 1
-  end;
-  Fmt.pr "index --smoke: indexed answers match scans (%d pcs, 3 probes, \
-          seek_to_time)@."
-    (min 8 (List.length pcs))
+    Term.(const run $ Flags.trace_file $ out_arg)
 
 let index_cmd =
-  let smoke_arg =
-    Flags.smoke
-      ~doc:
-        "Run the built-in index round-trip check instead of indexing a file: \
-         record sambatest, index and save it, reopen cold, and verify deep \
-         seeks restore durable checkpoints and indexed answers match scans."
-  in
-  let opt_file_arg = Flags.opt_trace_file ~doc:"A saved trace file to index." in
   let every_arg =
     Arg.(
       value
@@ -779,25 +461,16 @@ let index_cmd =
   let out_arg =
     Flags.out ~doc:"Write the indexed trace to FILE (default: rewrite TRACE)."
   in
-  let run path smoke every out =
+  let run path every out =
     with_trace_errors @@ fun () ->
-    if smoke then index_smoke ()
-    else begin
-      match path with
-      | None ->
-        Fmt.epr "rr_cli: index needs a TRACE argument (or --smoke)@.";
-        exit 2
-      | Some path ->
-        let trace = Trace.load_exn path in
-        let ix = Trace_indexer.build_and_attach ?checkpoint_every:every trace in
-        let out = Option.value out ~default:path in
-        Trace.save_exn trace out;
-        Fmt.pr
-          "indexed %d frames (%d durable checkpoints); saved to %s@."
-          (Trace.n_events trace)
-          (Array.length (Trace_index.checkpoints ix))
-          out
-    end
+    let trace = Trace.open_exn path in
+    let ix = Trace_indexer.build_and_attach ?checkpoint_every:every trace in
+    let out = Option.value out ~default:path in
+    Trace.save_exn trace out;
+    Fmt.pr "indexed %d frames (%d durable checkpoints); saved to %s@."
+      (Trace.n_events trace)
+      (Array.length (Trace_index.checkpoints ix))
+      out
   in
   Cmd.v
     (Cmd.info "index"
@@ -806,7 +479,7 @@ let index_cmd =
           pass) and store it in the trace: per-pc and per-address tables \
           plus durable checkpoints, so later sessions seek in O(delta) \
           from a cold open.")
-    Term.(const run $ opt_file_arg $ smoke_arg $ every_arg $ out_arg)
+    Term.(const run $ Flags.trace_file $ every_arg $ out_arg)
 
 let seek_cmd =
   let frame_arg =
@@ -832,7 +505,7 @@ let seek_cmd =
   in
   let run path frame time no_index =
     with_trace_errors @@ fun () ->
-    let trace = Trace.load_exn path in
+    let trace = Trace.open_exn path in
     let d =
       Debugger.create
         ~opts:(Debugger.make_opts ~use_index:(not no_index) ()) trace
@@ -886,85 +559,6 @@ let stats_cmd =
              not flat spans).  With --json, emits the ledger as JSON \
              instead of the telemetry snapshot.")
   in
-  (* Exercise the flight-recorder, repository, shard, index and GDB
-     instruments inside the session so the snapshot always carries
-     ring.*, repo.*, shard.*, serve.*, index.* and gdb.* metrics: a tiny
-     2-chunk ring recording (guaranteed drops), the same trace stored
-     twice into a throwaway repo (the second store is all shared
-     objects), then a small served recording split into per-connection
-     shards, indexed, and served one RSP packet. *)
-  let exercise_ring_and_repo () =
-    let w = Wl_cp.make ~params:{ Wl_cp.files = 2; file_kb = 16 } () in
-    let ring = Trace.ring ~chunks:2 in
-    (* Unbuffered + tiny chunks: enough chunk turnover to overflow a
-       2-chunk ring even on this small workload. *)
-    let opts =
-      Recorder.make_opts ~intercept:false ~chunk_limit:256
-        ~sink:(Recorder.Sink_ring ring) ()
-    in
-    (match
-       Recorder.run ~opts ~setup:w.Workload.setup ~exe:w.Workload.exe ()
-     with
-    | Ok _ -> ()
-    | Error e -> Fmt.failwith "ring session failed: %a" Recorder.pp_error e);
-    let window, _report = Trace.ring_trace ring in
-    let dir =
-      Filename.concat
-        (Filename.get_temp_dir_name ())
-        (Printf.sprintf "rr_stats_repo.%d" (Unix.getpid ()))
-    in
-    let rec rm_rf p =
-      if Sys.is_directory p then begin
-        Array.iter (fun e -> rm_rf (Filename.concat p e)) (Sys.readdir p);
-        Sys.rmdir p
-      end
-      else Sys.remove p
-    in
-    Fun.protect ~finally:(fun () -> if Sys.file_exists dir then rm_rf dir)
-    @@ fun () ->
-    let repo =
-      match Repo.init dir with
-      | Ok r -> r
-      | Error e -> Fmt.failwith "repo session failed: %a" Repo.pp_error e
-    in
-    List.iter
-      (fun name ->
-        match Repo.store_trace repo ~name window with
-        | Ok (_ : Repo.store_result) -> ()
-        | Error e -> Fmt.failwith "repo store failed: %a" Repo.pp_error e)
-      [ "stats-a"; "stats-b" ];
-    (* And the shard instruments: a tiny served recording tagged live by
-       the connection tracker, then split per connection into the same
-       throwaway repo (shard.* and serve.* counters). *)
-    let sw =
-      Wl_serve.make
-        ~params:{ Wl_serve.default with Wl_serve.conns = 2; requests = 2 }
-        ()
-    in
-    let ct = Conn_track.create () in
-    let strace, (_ : Recorder.stats), (_ : Kernel.t) =
-      Recorder.record ~on_event:(Conn_track.observe ct)
-        ~setup:sw.Workload.setup ~exe:sw.Workload.exe ()
-    in
-    (match Repo.store_trace repo ~name:"stats-serve" strace with
-    | Ok (_ : Repo.store_result) -> ()
-    | Error e -> Fmt.failwith "repo store failed: %a" Repo.pp_error e);
-    (match
-       Shard.split ~repo ~base:"stats-serve" ~tags:(Conn_track.tags ct) strace
-     with
-    | Ok (_ : Shard.result_) -> ()
-    | Error e -> Fmt.failwith "shard split failed: %a" Repo.pp_error e);
-    (* Index the served recording and answer one RSP packet over the
-       in-memory transport, so the index.build_time and gdb.cmd spans
-       have run. *)
-    ignore (Trace_indexer.build strace : Trace_index.t);
-    let client_tr, server_tr = Gdb_transport.pair () in
-    let server = Gdb_server.create (Debugger.create strace) server_tr in
-    let client =
-      Gdb_client.create ~pump:(fun () -> Gdb_server.pump server) client_tr
-    in
-    ignore (Gdb_client.request client "?" : string)
-  in
   let run name opts json attribution =
     let w = workload_of_name name in
     (* One clean record+replay session; the snapshot covers both phases. *)
@@ -972,7 +566,6 @@ let stats_cmd =
     if attribution then Timeline.start ();
     let recd, _ = Workload.record ~opts w in
     let _rep, _ = Workload.replay recd in
-    exercise_ring_and_repo ();
     if attribution then Timeline.stop ();
     let snap = Telemetry.snapshot () in
     match (json, attribution) with
@@ -991,8 +584,8 @@ let stats_cmd =
     (Cmd.info "stats"
        ~doc:
          "Record and replay a workload, then print the unified telemetry \
-          snapshot (counters, spans, histograms, event ring), including \
-          the flight-recorder ring and trace-repository instruments.")
+          snapshot (counters, spans, histograms, event ring) of that \
+          session.")
     Term.(
       const run $ Flags.workload $ Flags.record_opts $ json_arg
       $ attribution_arg)
@@ -1036,107 +629,20 @@ let profile_run ~phase ~w ~opts =
     Timeline.start ();
     ignore (Trace_indexer.build_and_attach recd.Workload.trace)
 
-(* Self-contained profile check: record sambatest under the timeline and
-   verify the Chrome export in-process — the JSON parses, every B has a
-   matching E per lane, scopes nest, and the acceptance floor holds
-   (the kern, rrtrace and rr layers all present, >= 2 lanes). *)
-let profile_smoke () =
-  let w = workload_of_name "sambatest" in
-  profile_run ~phase:`Record ~w ~opts:(Recorder.make_opts ());
-  let doc = Timeline.to_chrome_json () in
-  let fail fmt = Fmt.kstr (fun m -> Fmt.epr "profile --smoke: %s@." m; exit 1) fmt in
-  let root =
-    match Json_min.parse doc with
-    | v -> v
-    | exception Json_min.Parse_error msg -> fail "invalid chrome JSON: %s" msg
-  in
-  let evs =
-    match root with
-    | Json_min.Obj m -> (
-      match List.assoc_opt "traceEvents" m with
-      | Some (Json_min.List (_ :: _ as l)) -> l
-      | Some _ -> fail "traceEvents is empty or not an array"
-      | None -> fail "no traceEvents key")
-    | _ -> fail "top level is not an object"
-  in
-  let str m k =
-    match List.assoc_opt k m with Some (Json_min.Str s) -> s | _ -> ""
-  in
-  let num m k =
-    match List.assoc_opt k m with
-    | Some (Json_min.Num f) -> int_of_float f
-    | _ -> min_int
-  in
-  let stacks : (int, string list) Hashtbl.t = Hashtbl.create 8 in
-  let lanes : (int, unit) Hashtbl.t = Hashtbl.create 8 in
-  let cats : (string, unit) Hashtbl.t = Hashtbl.create 8 in
-  let max_depth = ref 0 in
-  List.iter
-    (fun ev ->
-      match ev with
-      | Json_min.Obj m -> (
-        let ph = str m "ph" and name = str m "name" and tid = num m "tid" in
-        if ph <> "M" then Hashtbl.replace lanes tid ();
-        match ph with
-        | "B" ->
-          Hashtbl.replace cats (str m "cat") ();
-          let st = Option.value ~default:[] (Hashtbl.find_opt stacks tid) in
-          let st = name :: st in
-          max_depth := max !max_depth (List.length st);
-          Hashtbl.replace stacks tid st
-        | "E" -> (
-          match Hashtbl.find_opt stacks tid with
-          | Some (top :: rest) ->
-            if top <> name then
-              fail "lane %d: E %S closes B %S" tid name top;
-            Hashtbl.replace stacks tid rest
-          | Some [] | None -> fail "lane %d: E %S without a B" tid name)
-        | _ -> ())
-      | _ -> fail "traceEvents element is not an object")
-    evs;
-  Hashtbl.iter
-    (fun tid st ->
-      if st <> [] then fail "lane %d: %d unclosed scopes" tid (List.length st))
-    stacks;
-  List.iter
-    (fun layer ->
-      if not (Hashtbl.mem cats layer) then fail "no scopes from layer %S" layer)
-    [ "kern"; "rrtrace"; "rr" ];
-  if Hashtbl.length lanes < 2 then
-    fail "only %d lane(s), want >= 2" (Hashtbl.length lanes);
-  if !max_depth < 2 then fail "no nested scopes (max depth %d)" !max_depth;
-  let a = Timeline.attribution () in
-  Fmt.pr
-    "profile --smoke: chrome export ok (%d events, %d lanes, %d layers, \
-     depth %d, %.1f%% attributed)@."
-    (List.length evs) (Hashtbl.length lanes) (Hashtbl.length cats) !max_depth
-    (if a.Timeline.at_total_ns = 0 then 0.
-     else
-       100.
-       *. float_of_int a.Timeline.at_covered_ns
-       /. float_of_int a.Timeline.at_total_ns)
-
 let profile_cmd =
   let phase_arg =
     Arg.(
-      value
+      required
       & pos 0 (some string) None
       & info [] ~docv:"PHASE"
           ~doc:"Pipeline phase to profile: record, replay or index.")
   in
   let wl_arg =
     Arg.(
-      value
+      required
       & pos 1 (some string) None
       & info [] ~docv:"WORKLOAD"
           ~doc:"Workload to run (cp, make, octane, htmltest, sambatest).")
-  in
-  let smoke_arg =
-    Flags.smoke
-      ~doc:
-        "Run the built-in profiling check instead: record sambatest under \
-         the timeline and verify the Chrome export is valid, balanced, \
-         nested, and spans >= 4 layers on >= 2 lanes."
   in
   let out_arg =
     Flags.out
@@ -1144,31 +650,23 @@ let profile_cmd =
         "Write the Chrome trace-event JSON to FILE (load it in \
          chrome://tracing or https://ui.perfetto.dev)."
   in
-  let run phase wl opts smoke out =
+  let run phase_s wl_s opts out =
     with_trace_errors @@ fun () ->
-    if smoke then profile_smoke ()
-    else begin
-      match (phase, wl) with
-      | Some phase_s, Some wl_s ->
-        let phase = profile_phase_of phase_s in
-        let w = workload_of_name wl_s in
-        profile_run ~phase ~w ~opts;
-        (match out with
-        | Some path ->
-          Timeline.export path;
-          Fmt.pr "chrome trace written to %s (%d events%s)@." path
-            (List.length (Timeline.events ()))
-            (let d = Timeline.dropped () in
-             if d > 0 then Printf.sprintf ", %d dropped" d else "")
-        | None -> ());
-        Fmt.pr "flamegraph of %s %s:@." phase_s wl_s;
-        Fmt.pr "%a@." Timeline.pp_flamegraph ();
-        Fmt.pr "per-stage attribution:@.";
-        Fmt.pr "%a@." Timeline.pp_attribution ()
-      | _ ->
-        Fmt.epr "rr_cli: profile needs PHASE and WORKLOAD (or --smoke)@.";
-        exit 2
-    end
+    let phase = profile_phase_of phase_s in
+    let w = workload_of_name wl_s in
+    profile_run ~phase ~w ~opts;
+    (match out with
+    | Some path ->
+      Timeline.export path;
+      Fmt.pr "chrome trace written to %s (%d events%s)@." path
+        (List.length (Timeline.events ()))
+        (let d = Timeline.dropped () in
+         if d > 0 then Printf.sprintf ", %d dropped" d else "")
+    | None -> ());
+    Fmt.pr "flamegraph of %s %s:@." phase_s wl_s;
+    Fmt.pr "%a@." Timeline.pp_flamegraph ();
+    Fmt.pr "per-stage attribution:@.";
+    Fmt.pr "%a@." Timeline.pp_attribution ()
   in
   Cmd.v
     (Cmd.info "profile"
@@ -1177,8 +675,7 @@ let profile_cmd =
           tracing armed; export a Chrome trace-event file (-o) and print \
           the text flamegraph plus the per-stage overhead ledger.")
     Term.(
-      const run $ phase_arg $ wl_arg $ Flags.record_opts $ smoke_arg
-      $ out_arg)
+      const run $ phase_arg $ wl_arg $ Flags.record_opts $ out_arg)
 
 (* ---- repo: the content-addressed trace repository -------------------- *)
 
@@ -1305,126 +802,6 @@ let replay_to trace upto =
   done;
   r
 
-(* Self-contained shard check (`shard --smoke`): record serve, require
-   the live tags to match an offline derivation, split into a throwaway
-   repo, and for every connection (a) the shard reloads and replays to
-   its end without divergence, and (b) at a mid-stream frame of that
-   connection the shard replay's worker and client state is
-   byte-identical (registers + address-space digest) to the full-trace
-   replay at the corresponding frame. *)
-let shard_smoke () =
-  let fail fmt =
-    Fmt.kstr
-      (fun m ->
-        Fmt.epr "shard --smoke: %s@." m;
-        exit 1)
-      fmt
-  in
-  let params = { Wl_serve.default with Wl_serve.conns = 4; requests = 6 } in
-  let trace, _stats, ct = record_serve ~params Recorder.default_opts in
-  let tags = Conn_track.tags ct in
-  if tags <> Conn_track.tags (Conn_track.derive trace) then
-    fail "offline tag derivation disagrees with the live observer";
-  let conns = Conn_track.connections ct in
-  if List.length conns <> 4 then
-    fail "expected 4 connections, got %d" (List.length conns);
-  if Conn_track.requests ct <> 24 then
-    fail "expected 24 requests, got %d" (Conn_track.requests ct);
-  List.iter
-    (fun (i : Conn_track.info) ->
-      if i.Conn_track.client_tid < 0 || i.Conn_track.worker_tid < 0 then
-        fail "connection %d missing client or worker task" i.Conn_track.conn)
-    conns;
-  let dir =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "rr_shard_smoke.%d" (Unix.getpid ()))
-  in
-  let rec rm_rf p =
-    if Sys.is_directory p then begin
-      Array.iter (fun e -> rm_rf (Filename.concat p e)) (Sys.readdir p);
-      Sys.rmdir p
-    end
-    else Sys.remove p
-  in
-  Fun.protect ~finally:(fun () -> if Sys.file_exists dir then rm_rf dir)
-  @@ fun () ->
-  let repo =
-    match Repo.init dir with
-    | Ok r -> r
-    | Error e -> fail "repo init: %s" (Repo.error_to_string e)
-  in
-  (match Repo.store_trace repo ~name:"serve" trace with
-  | Ok (_ : Repo.store_result) -> ()
-  | Error e -> fail "store: %s" (Repo.error_to_string e));
-  let res =
-    match Shard.split ~repo ~base:"serve" ~tags trace with
-    | Ok r -> r
-    | Error e -> fail "split: %s" (Repo.error_to_string e)
-  in
-  (match Shard.list repo ~base:"serve" with
-  | Ok listed when listed = res.Shard.shards -> ()
-  | Ok _ -> fail "shard catalog round-trip mismatch"
-  | Error e -> fail "list: %s" (Repo.error_to_string e));
-  (* Each connection's mid-stream target frame, and the digest of its
-     tasks there in one full-trace replay pass (ascending targets). *)
-  let targets =
-    List.map
-      (fun (i : Conn_track.info) ->
-        let c = i.Conn_track.conn in
-        let own = ref [] in
-        Array.iteri (fun k t -> if t = c then own := k :: !own) tags;
-        let own = Array.of_list (List.rev !own) in
-        if Array.length own = 0 then fail "connection %d owns no frames" c;
-        (own.(Array.length own / 2), i))
-      conns
-    |> List.sort compare
-  in
-  let full = Replayer.start trace in
-  let full_digests =
-    List.map
-      (fun (i_star, (i : Conn_track.info)) ->
-        while Replayer.cursor_index full <= i_star do
-          ignore (Replayer.step full)
-        done;
-        let k = Replayer.kernel full in
-        ( i.Conn_track.conn,
-          (i_star, i, task_digest k i.Conn_track.worker_tid,
-           task_digest k i.Conn_track.client_tid) ))
-      targets
-  in
-  List.iter
-    (fun (c, (i_star, (i : Conn_track.info), dw, dc)) ->
-      let shard =
-        match Shard.load repo ~base:"serve" ~conn:c with
-        | Ok s -> s
-        | Error e -> fail "load conn %d: %s" c (Repo.error_to_string e)
-      in
-      if Trace.n_events shard >= Trace.n_events trace then
-        fail "conn %d shard did not shrink (%d >= %d frames)" c
-          (Trace.n_events shard) (Trace.n_events trace);
-      (* corresponding frame: position of i_star among the kept frames *)
-      let j_star = ref (-1) in
-      for k = 0 to i_star do
-        if tags.(k) = 0 || tags.(k) = c then incr j_star
-      done;
-      let r = replay_to shard !j_star in
-      let k = Replayer.kernel r in
-      if task_digest k i.Conn_track.worker_tid <> dw then
-        fail "conn %d worker state differs from the full replay" c;
-      if task_digest k i.Conn_track.client_tid <> dc then
-        fail "conn %d client state differs from the full replay" c;
-      (* and the shard replays to its end without divergence *)
-      match Replayer.replay shard with
-      | (_ : Replayer.stats * Kernel.t) -> ()
-      | exception Replayer.Divergence m -> fail "conn %d diverged: %s" c m)
-    full_digests;
-  Fmt.pr
-    "shard --smoke ok: 4 connections, 24 requests, %d-frame trace sharded \
-     (%d shared bytes); per-connection state byte-identical to the full \
-     replay@."
-    (Trace.n_events trace) res.Shard.total_shared_bytes
-
 let shard_cmd =
   let conn_arg =
     Arg.(
@@ -1433,69 +810,52 @@ let shard_cmd =
       & info [ "conn" ] ~docv:"ID"
           ~doc:"Split only connection ID (default: every connection).")
   in
-  let trace_arg =
-    Flags.opt_trace_file
-      ~doc:"A saved serve trace to shard (omit with --smoke)."
-  in
-  let run tracefile conn repo_dir smoke =
-    if smoke then shard_smoke ()
-    else
-      match tracefile with
-      | None ->
-        Fmt.epr "rr_cli: shard needs a TRACE file (or --smoke)@.";
-        exit 124
-      | Some path ->
-        with_trace_errors @@ fun () ->
-        let trace = Trace.load_exn path in
-        let ct = Conn_track.derive trace in
-        let conns = Conn_track.connections ct in
-        Fmt.pr "%s: %d frames, %d connections, %d requests@." path
-          (Trace.n_events trace) (List.length conns)
-          (Conn_track.requests ct);
-        pp_conn_table conns;
-        (match conn with
-        | Some c
-          when not
-                 (List.exists (fun i -> i.Conn_track.conn = c) conns) ->
-          Fmt.failwith "no such connection %d (trace has %d)" c
-            (List.length conns)
-        | _ -> ());
-        (match repo_dir with
-        | None -> ()
-        | Some dir -> (
-          let repo =
-            match Repo.init dir with
-            | Ok r -> r
-            | Error e -> Fmt.failwith "repo: %a" Repo.pp_error e
-          in
-          let base = Filename.basename path in
-          (match Repo.store_trace repo ~name:base trace with
-          | Ok (_ : Repo.store_result) -> ()
-          | Error e -> Fmt.failwith "store: %a" Repo.pp_error e);
-          match
-            Shard.split ?only:conn ~repo ~base ~tags:(Conn_track.tags ct)
-              trace
-          with
-          | Ok r ->
-            Fmt.pr "sharded into %d sub-traces (%d new bytes, %d shared)@."
-              (List.length r.Shard.shards)
-              r.Shard.total_new_bytes r.Shard.total_shared_bytes;
-            pp_shard_table r.Shard.shards
-          | Error e -> Fmt.failwith "shard: %a" Repo.pp_error e))
+  let run path conn repo_dir =
+    with_trace_errors @@ fun () ->
+    let trace = Trace.open_exn path in
+    let ct = Conn_track.derive trace in
+    let conns = Conn_track.connections ct in
+    Fmt.pr "%s: %d frames, %d connections, %d requests@." path
+      (Trace.n_events trace) (List.length conns)
+      (Conn_track.requests ct);
+    pp_conn_table conns;
+    (match conn with
+    | Some c
+      when not
+             (List.exists (fun i -> i.Conn_track.conn = c) conns) ->
+      Fmt.failwith "no such connection %d (trace has %d)" c
+        (List.length conns)
+    | _ -> ());
+    (match repo_dir with
+    | None -> ()
+    | Some dir -> (
+      let repo =
+        match Repo.init dir with
+        | Ok r -> r
+        | Error e -> Fmt.failwith "repo: %a" Repo.pp_error e
+      in
+      let base = Filename.basename path in
+      (match Repo.store_trace repo ~name:base trace with
+      | Ok (_ : Repo.store_result) -> ()
+      | Error e -> Fmt.failwith "store: %a" Repo.pp_error e);
+      match
+        Shard.split ?only:conn ~repo ~base ~tags:(Conn_track.tags ct)
+          trace
+      with
+      | Ok r ->
+        Fmt.pr "sharded into %d sub-traces (%d new bytes, %d shared)@."
+          (List.length r.Shard.shards)
+          r.Shard.total_new_bytes r.Shard.total_shared_bytes;
+        pp_shard_table r.Shard.shards
+      | Error e -> Fmt.failwith "shard: %a" Repo.pp_error e))
   in
   Cmd.v
     (Cmd.info "shard"
        ~doc:
          "Derive connection tags for a saved serve trace, list its \
           connections, and optionally split it into per-connection \
-          sub-traces stored in a repository.  With --smoke, run the \
-          self-contained shard correctness check.")
-    Term.(
-      const run $ trace_arg $ conn_arg $ shard_repo_arg
-      $ Flags.smoke
-          ~doc:
-            "Run the self-contained shard check (records serve, splits, \
-             verifies per-connection replay state against the full trace).")
+          sub-traces stored in a repository.")
+    Term.(const run $ Flags.trace_file $ conn_arg $ shard_repo_arg)
 
 let replay_cmd =
   let conn_arg =
@@ -1525,69 +885,67 @@ let replay_cmd =
         Fmt.failwith "no connection %d (the recording has %d)" conn
           (List.length (Conn_track.connections ct))
     in
-    let shard, (_ : int array) = Shard.extract ~tags ~conn trace in
-    (* the connection's last owned frame, and its position among the
-       frames the shard kept *)
-    let i_last = ref (-1) in
-    Array.iteri (fun k t -> if t = conn then i_last := k) tags;
+    let shard, orig = Shard.extract ~tags ~conn trace in
+    (* the connection's last owned frame: its position in the shard, and
+       (through the shard's frame map) in the full trace *)
     let j_last = ref (-1) in
-    for k = 0 to !i_last do
-      if tags.(k) = 0 || tags.(k) = conn then incr j_last
-    done;
+    Array.iteri (fun j i -> if tags.(i) = conn then j_last := j) orig;
+    let j_last = !j_last in
+    if j_last < 0 then Fmt.failwith "connection %d owns no frames" conn;
+    let i_last = orig.(j_last) in
     let time f =
       let t0 = Unix.gettimeofday () in
       let r = f () in
       (r, Unix.gettimeofday () -. t0)
     in
-    let r_shard, t_shard = time (fun () -> replay_to shard !j_last) in
-    let r_full, t_full = time (fun () -> replay_to trace !i_last) in
+    let r_shard, t_shard = time (fun () -> replay_to shard j_last) in
+    let r_full, t_full = time (fun () -> replay_to trace i_last) in
     Fmt.pr "conn %d: client port %d, %d owned frames, %d requests@." conn
       info.Conn_track.client_port info.Conn_track.frames
       info.Conn_track.requests;
-    Fmt.pr "  full trace  : %6d frames to target, %.3f ms@." (!i_last + 1)
+    Fmt.pr "  full trace  : %6d frames to target, %.3f ms@." (i_last + 1)
       (t_full *. 1e3);
     Fmt.pr "  shard       : %6d frames to target, %.3f ms (%.1fx fewer \
             frames, %.1fx faster)@."
-      (!j_last + 1) (t_shard *. 1e3)
-      (float_of_int (!i_last + 1) /. float_of_int (!j_last + 1))
+      (j_last + 1) (t_shard *. 1e3)
+      (float_of_int (i_last + 1) /. float_of_int (j_last + 1))
       (t_full /. Float.max t_shard 1e-9);
     let digest r = task_digest (Replayer.kernel r) info.Conn_track.worker_tid in
     if digest r_shard = digest r_full then
       Fmt.pr "  worker state at the target frame is byte-identical.@."
     else Fmt.failwith "shard replay state DIVERGED from the full trace"
   in
-  let run name opts conn =
+  let run target opts conn =
     with_trace_errors @@ fun () ->
     match conn with
     | Some c ->
-      if name <> "serve" then
+      if target <> "serve" then
         Fmt.failwith "--conn targets a connection: it requires the serve \
                       workload";
       replay_conn opts c
-    | None ->
-      let w = workload_of_name name in
-      let recd = do_record w opts in
-      let rep, _ = Workload.replay recd in
-      let st = rep.Workload.rep_stats in
-      Fmt.pr "replayed %s: exit=%a (events applied: %d, wall %d)@."
-        w.Workload.name
+    | None -> (
+      let trace, recorded =
+        trace_of_target ~record:(fun w -> do_record w opts) target
+      in
+      let st, _ = Replayer.replay trace in
+      Fmt.pr "replayed %s: exit=%a (events applied: %d, wall %d)@." target
         Fmt.(option ~none:(any "?") int)
         st.Replayer.exit_status st.Replayer.events_applied
         st.Replayer.wall_time;
-      if
-        st.Replayer.exit_status
-        = recd.Workload.rec_stats.Recorder.exit_status
-      then Fmt.pr "replay matches the recording.@."
-      else Fmt.failwith "replay DIVERGED from the recording"
+      match recorded with
+      | None -> ()
+      | Some rs ->
+        if st.Replayer.exit_status = rs.Recorder.exit_status then
+          Fmt.pr "replay matches the recording.@."
+        else Fmt.failwith "replay DIVERGED from the recording")
   in
   Cmd.v
     (Cmd.info "replay"
        ~doc:
-         "Record a workload, replay the trace, verify equivalence.  With \
-          --conn, replay a single connection's shard and report \
-          time-to-first-replay.")
-    Term.(
-      const run $ Flags.workload $ Flags.record_opts $ conn_arg)
+         "Replay a saved trace, or record a workload and replay it, \
+          verifying equivalence.  With --conn, replay a single \
+          connection's shard and report time-to-first-replay.")
+    Term.(const run $ Flags.target $ Flags.record_opts $ conn_arg)
 
 let repo_cmd =
   let init_cmd =
@@ -1697,8 +1055,8 @@ let main =
           'Engineering Record and Replay for Deployability', USENIX ATC \
           2017).")
     [ record_cmd; replay_cmd; serve_cmd; shard_cmd; dump_cmd; debug_cmd;
-      stats_cmd; profile_cmd; list_cmd; replay_file_cmd; dump_file_cmd;
-      repair_cmd; index_cmd; seek_cmd; repo_cmd ]
+      stats_cmd; profile_cmd; list_cmd; repair_cmd; index_cmd; seek_cmd;
+      repo_cmd ]
 
 let () =
   Logs.set_reporter (Logs_fmt.reporter ());

@@ -1,6 +1,8 @@
 (* Flight-recorder mode: bounded ring recording with dump-on-trigger
    persistence (see flight.mli and DESIGN.md §4j). *)
 
+type trigger = On_signal | On_exit_nonzero | On_divergence | On_always
+
 type cause =
   | Signal of Recorder.error
   | Exit_nonzero of int
@@ -28,17 +30,17 @@ let pp_cause ppf = function
   | Always -> Fmt.string ppf "always"
 
 let parse_trigger = function
-  | "signal" -> Some Recorder.On_signal
-  | "exit!=0" -> Some Recorder.On_exit_nonzero
-  | "divergence" -> Some Recorder.On_divergence
-  | "always" -> Some Recorder.On_always
+  | "signal" -> Some On_signal
+  | "exit!=0" -> Some On_exit_nonzero
+  | "divergence" -> Some On_divergence
+  | "always" -> Some On_always
   | _ -> None
 
 let trigger_to_string = function
-  | Recorder.On_signal -> "signal"
-  | Recorder.On_exit_nonzero -> "exit!=0"
-  | Recorder.On_divergence -> "divergence"
-  | Recorder.On_always -> "always"
+  | On_signal -> "signal"
+  | On_exit_nonzero -> "exit!=0"
+  | On_divergence -> "divergence"
+  | On_always -> "always"
 
 (* Evaluate [dump_on] against the run, most severe first.  The
    divergence check replays the window and is only meaningful when the
@@ -51,12 +53,12 @@ let first_cause ~dump_on ~result ~window ~(report : Trace.ring_report) =
   let want t = List.mem t dump_on in
   let signal =
     match result with
-    | Error e when want Recorder.On_signal -> Some (Signal e)
+    | Error e when want On_signal -> Some (Signal e)
     | _ -> None
   in
   let exit_nonzero () =
     match result with
-    | Ok ((stats : Recorder.stats), _) when want Recorder.On_exit_nonzero -> (
+    | Ok ((stats : Recorder.stats), _) when want On_exit_nonzero -> (
       match stats.Recorder.exit_status with
       | Some 0 -> None
       | Some code -> Some (Exit_nonzero code)
@@ -64,7 +66,7 @@ let first_cause ~dump_on ~result ~window ~(report : Trace.ring_report) =
     | _ -> None
   in
   let divergence () =
-    if not (want Recorder.On_divergence) then None
+    if not (want On_divergence) then None
     else if report.Trace.rr_base_frame > 0 then
       Some (Partial_window { base_frame = report.Trace.rr_base_frame })
     else
@@ -72,7 +74,7 @@ let first_cause ~dump_on ~result ~window ~(report : Trace.ring_report) =
       | (_ : Replayer.stats * Kernel.t) -> None
       | exception Replayer.Divergence msg -> Some (Diverged msg)
   in
-  let always () = if want Recorder.On_always then Some Always else None in
+  let always () = if want On_always then Some Always else None in
   match signal with
   | Some _ as c -> c
   | None -> (
@@ -91,7 +93,8 @@ let dump_window ~window = function
     | Ok (_ : Repo.store_result) -> Ok ("repo:" ^ name)
     | Error e -> Error (Recorder.Rec_failure (Repo.error_to_string e)))
 
-let record ?(opts = Recorder.default_opts) ?on_stop ?dump ~ring ~setup ~exe () =
+let record ?(opts = Recorder.default_opts) ?on_stop ~dump_on ?dump ~ring ~setup
+    ~exe () =
   let opts = Recorder.with_sink opts (Recorder.Sink_ring ring) in
   let result =
     match Recorder.run ~opts ?on_stop ~setup ~exe () with
@@ -101,9 +104,7 @@ let record ?(opts = Recorder.default_opts) ?on_stop ?dump ~ring ~setup ~exe () =
   (* Snapshot once, after the run: the handle outlives a recording that
      died, so the window is dumpable either way. *)
   let window, report = Trace.ring_trace ring in
-  let cause =
-    first_cause ~dump_on:opts.Recorder.dump_on ~result ~window ~report
-  in
+  let cause = first_cause ~dump_on ~result ~window ~report in
   match (cause, dump) with
   | Some _, Some target -> (
     match dump_window ~window target with

@@ -7,8 +7,8 @@
     verification replay diverges — the retained window is dumped to a
     file or a {!Repo.t}; a healthy run discards it for free.
 
-    Triggers come from [opts.dump_on] ({!Recorder.trigger}); the most
-    severe firing trigger names the {!cause}.  [On_divergence] runs a
+    Triggers are the [dump_on] argument of {!record}; the most severe
+    firing trigger names the {!cause}.  [On_divergence] runs a
     verification replay of the window, but only when nothing was
     dropped ([rr_base_frame = 0]) — a truncated window has no frame-0
     initial state to replay from (the documented flight-recorder
@@ -16,6 +16,13 @@
     truncated window the cause is {!Partial_window}: the window still
     dumps, explicitly classified as unverifiable rather than silently
     passing. *)
+
+(** When a flight recording's ring window should be persisted. *)
+type trigger =
+  | On_signal  (** the recording died on an error / was killed *)
+  | On_exit_nonzero  (** the root process exited with a non-zero status *)
+  | On_divergence  (** a verification replay of the window diverged *)
+  | On_always
 
 type cause =
   | Signal of Recorder.error  (** the recording itself died *)
@@ -42,15 +49,16 @@ type outcome = {
 
 val pp_cause : cause Fmt.t
 
-val parse_trigger : string -> Recorder.trigger option
+val parse_trigger : string -> trigger option
 (** ["signal"], ["exit!=0"], ["divergence"], ["always"] — the
     [--dump-on] spellings. *)
 
-val trigger_to_string : Recorder.trigger -> string
+val trigger_to_string : trigger -> string
 
 val record :
   ?opts:Recorder.opts ->
   ?on_stop:(Kernel.t -> unit) ->
+  dump_on:trigger list ->
   ?dump:dump_target ->
   ring:Trace.ring ->
   setup:(Kernel.t -> unit) ->
@@ -59,8 +67,8 @@ val record :
   (outcome, Recorder.error) result
 (** Record [exe] with the trace streaming into [ring] (the sink in
     [opts] is overridden; all other options apply as given).  After the
-    run — whether it completed or died — evaluate [opts.dump_on]
-    against the outcome and, if a trigger fired and [dump] is given,
+    run — whether it completed or died — evaluate [dump_on] against
+    the outcome and, if a trigger fired and [dump] is given,
     persist the window.  [Error] is returned only when the {e dump}
     could not be written or the window could not be snapshotted; a
     recording failure is data in [outcome.result] (it is precisely what

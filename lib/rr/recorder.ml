@@ -45,8 +45,7 @@ type sink_spec =
   | Sink_file of string
   | Sink_ring of Trace.ring
   | Sink_repo of Repo.t * string
-
-type trigger = On_signal | On_exit_nonzero | On_divergence | On_always
+  | Sink_io of Io.writer
 
 type opts = {
   intercept : bool; (* in-process syscall interception (§3) *)
@@ -61,7 +60,6 @@ type opts = {
   checksum_every : int; (* emit memory checksums every N frames; 0 = off *)
   chunk_limit : int; (* pending bytes that seal a chunk (Trace.Writer) *)
   sink : sink_spec; (* where the trace streams while recording *)
-  dump_on : trigger list; (* flight-recorder dump triggers (Flight) *)
 }
 
 let default_opts =
@@ -76,8 +74,7 @@ let default_opts =
     max_events = 5_000_000;
     checksum_every = 0;
     chunk_limit = 1 lsl 16;
-    sink = Sink_memory;
-    dump_on = [] }
+    sink = Sink_memory }
 
 let make_opts ?(intercept = default_opts.intercept) ?(wide = default_opts.wide)
     ?(scratch = default_opts.scratch)
@@ -87,15 +84,13 @@ let make_opts ?(intercept = default_opts.intercept) ?(wide = default_opts.wide)
     ?(max_events = default_opts.max_events)
     ?(checksum_every = default_opts.checksum_every)
     ?(chunk_limit = default_opts.chunk_limit)
-    ?(sink = default_opts.sink) ?(dump_on = default_opts.dump_on) () =
+    ?(sink = default_opts.sink) () =
   { intercept; wide; scratch; clone_blocks; compress; chaos;
     timeslice_rcbs = max 1 timeslice_rcbs; seed;
     max_events = max 1 max_events; checksum_every = max 0 checksum_every;
-    chunk_limit = max 256 chunk_limit; sink;
-    dump_on = List.sort_uniq compare dump_on }
+    chunk_limit = max 256 chunk_limit; sink }
 
 let with_sink opts sink = { opts with sink }
-let with_dump_on opts dump_on = { opts with dump_on = List.sort_uniq compare dump_on }
 
 type per_task = {
   mutable slot : int;
@@ -1066,20 +1061,16 @@ let handle_stop r task stop =
       fail "unexpected trap signal while recording"
     | Signals.Fault | Signals.User _ -> on_app_signal r task info)
 
-(* Resolve [opts.sink] to a concrete {!Trace.Sink.t}.  An explicit
-   [?journal] writer takes precedence. *)
-let resolve_sink opts journal =
-  match journal with
-  | Some io -> Some (Trace.Sink.of_io io)
-  | None -> (
-    match opts.sink with
-    | Sink_memory -> None
-    | Sink_file path -> Some (Trace.Sink.of_io (Io.file_writer path))
-    | Sink_ring r -> Some (Trace.ring_sink r)
-    | Sink_repo (repo, name) -> Some (Repo.sink repo ~name))
+(* Resolve [opts.sink] to a concrete {!Trace.Sink.t}. *)
+let resolve_sink = function
+  | Sink_memory -> None
+  | Sink_file path -> Some (Trace.Sink.of_io (Io.file_writer path))
+  | Sink_ring r -> Some (Trace.ring_sink r)
+  | Sink_repo (repo, name) -> Some (Repo.sink repo ~name)
+  | Sink_io io -> Some (Trace.Sink.of_io io)
 
 let record ?(opts = default_opts) ?(on_stop = fun (_ : K.t) -> ())
-    ?(on_event = fun (_ : E.t) -> ()) ?journal ~setup ~exe () =
+    ?(on_event = fun (_ : E.t) -> ()) ~setup ~exe () =
   let k = K.create ~seed:opts.seed () in
   (* Spans measure virtual ns against this recording's cost model. *)
   Timeline.set_virtual_clock (fun () -> K.now k);
@@ -1095,7 +1086,7 @@ let record ?(opts = default_opts) ?(on_stop = fun (_ : K.t) -> ())
         setup k;
         try
           Trace.Writer.create ~compress:opts.compress
-            ~chunk_limit:opts.chunk_limit ?sink:(resolve_sink opts journal) ~initial_exe:exe ()
+            ~chunk_limit:opts.chunk_limit ?sink:(resolve_sink opts.sink) ~initial_exe:exe ()
         with e -> raise (reraise_typed e))
   in
   let r =
@@ -1206,7 +1197,7 @@ let record ?(opts = default_opts) ?(on_stop = fun (_ : K.t) -> ())
       telemetry = Telemetry.since tm_base },
     k )
 
-let run ?opts ?on_stop ?on_event ?journal ~setup ~exe () =
-  match record ?opts ?on_stop ?on_event ?journal ~setup ~exe () with
+let run ?opts ?on_stop ?on_event ~setup ~exe () =
+  match record ?opts ?on_stop ?on_event ~setup ~exe () with
   | v -> Ok v
   | exception Record_error e -> Error e

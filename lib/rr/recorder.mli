@@ -46,14 +46,9 @@ type sink_spec =
   | Sink_repo of Repo.t * string
       (** store chunks and images content-addressed as they stream out;
           the manifest lands under this name at commit *)
-
-(** When a flight recording's ring window should be persisted
-    (interpreted by {!Flight.record}). *)
-type trigger =
-  | On_signal  (** the recording died on an error / was killed *)
-  | On_exit_nonzero  (** the root process exited with a non-zero status *)
-  | On_divergence  (** a verification replay of the window diverged *)
-  | On_always
+  | Sink_io of Io.writer
+      (** stream the v3 journal to an arbitrary {!Io.writer} (fault
+          injection, an in-memory buffer) *)
 
 type opts = private {
   intercept : bool; (* in-process syscall interception (§3) *)
@@ -69,7 +64,6 @@ type opts = private {
   chunk_limit : int; (* pending bytes that seal a chunk; flight recordings
                         shrink it so the ring turns over in small steps *)
   sink : sink_spec; (* where the trace streams while recording *)
-  dump_on : trigger list; (* flight-recorder dump triggers (Flight) *)
 }
 
 val default_opts : opts
@@ -87,22 +81,17 @@ val make_opts :
   ?checksum_every:int ->
   ?chunk_limit:int ->
   ?sink:sink_spec ->
-  ?dump_on:trigger list ->
   unit ->
   opts
 (** [default_opts] with the given fields overridden, clamped to sane
     ranges ([timeslice_rcbs ≥ 1], [max_events ≥ 1], [checksum_every ≥
-    0], [chunk_limit ≥ 256]; [dump_on] deduplicated).  [opts] is
-    private, so this, {!with_sink} and {!with_dump_on} are the only
-    ways to build one and the clamps are never bypassed. *)
+    0], [chunk_limit ≥ 256]).  [opts] is private, so this and
+    {!with_sink} are the only ways to build one and the clamps are never
+    bypassed. *)
 
 val with_sink : opts -> sink_spec -> opts
 (** [opts] with the sink replaced — how {!Flight.record} routes an
     arbitrary configuration through its ring. *)
-
-val with_dump_on : opts -> trigger list -> opts
-(** [opts] with the dump triggers replaced (deduplicated) — how the CLI
-    applies repeated [--dump-on] flags to an already-built [opts]. *)
 
 type stats = {
   wall_time : int; (* virtual ns *)
@@ -121,7 +110,6 @@ val record :
   ?opts:opts ->
   ?on_stop:(Kernel.t -> unit) ->
   ?on_event:(Event.t -> unit) ->
-  ?journal:Io.writer ->
   setup:(Kernel.t -> unit) ->
   exe:string ->
   unit ->
@@ -132,9 +120,8 @@ val record :
     invoked after every handled ptrace stop (used for PSS sampling).
     [on_event] observes every frame as it is emitted, before it reaches
     the trace writer — the live half of {!Conn_track}; it must not
-    raise.
-    With [journal], the trace is streamed to that {!Io.writer} while
-    recording (see {!Trace.Writer.create}), so a recorder killed
+    raise.  [opts.sink] selects where the trace streams while
+    recording (see {!Trace.Writer.create}); a journaling sink killed
     mid-run leaves a salvageable file.  Returns the trace, recording
     statistics, and the final kernel.
 
@@ -143,18 +130,12 @@ val record :
     ([Rec_failure]), or a trace-store/journal failure ([Rec_trace]).
     On any failure the writer is aborted first: the sink is closed, so
     a journaling recorder that dies never leaks its journal fd (the
-    salvageable prefix stays on disk).
-
-    [journal] streams to an arbitrary {!Io.writer} (fault injection, an
-    in-memory buffer), which no {!sink_spec} can name; it overrides
-    [opts.sink] when given.  Everything else selects the output through
-    [opts.sink]. *)
+    salvageable prefix stays on disk). *)
 
 val run :
   ?opts:opts ->
   ?on_stop:(Kernel.t -> unit) ->
   ?on_event:(Event.t -> unit) ->
-  ?journal:Io.writer ->
   setup:(Kernel.t -> unit) ->
   exe:string ->
   unit ->

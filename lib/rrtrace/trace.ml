@@ -572,16 +572,8 @@ module Writer = struct
     mutable closed : bool; (* finish or abort already ran *)
   }
 
-  let create ?(compress = true) ?(chunk_limit = default_chunk_limit) ?journal
-      ?sink ~initial_exe () =
-    (* [?journal] remains as sugar for the streaming file sink; an
-       explicit [?sink] wins when both are given. *)
-    let sink =
-      match (sink, journal) with
-      | Some s, _ -> Some s
-      | None, Some jio -> Some (Sink.of_io jio)
-      | None, None -> None
-    in
+  let create ?(compress = true) ?(chunk_limit = default_chunk_limit) ?sink
+      ~initial_exe () =
     let bounded =
       match sink with Some s -> s.Sink.sk_bounded | None -> false
     in
@@ -1478,12 +1470,8 @@ let open_io r =
 
 let open_ path = open_io (Io.file_reader path)
 
-let load = open_
-
 let open_exn path =
   match open_ path with Ok t -> t | Error e -> raise (Format_error e)
-
-let load_exn = open_exn
 
 (* ---- salvage --------------------------------------------------------- *)
 

@@ -21,7 +21,7 @@
     {b Durability} (DESIGN.md §4e): persistence flows through the
     pluggable {!Io} layer.  The v3 on-disk format is a stream of
     CRC32-guarded records committed by a trailing footer; a {!Writer}
-    given [?journal] streams the trace incrementally while recording,
+    given a file [?sink] streams the trace incrementally while recording,
     so a writer killed mid-record leaves a salvageable prefix; and
     {!salvage} recovers the longest verifiable chunk prefix of a
     damaged file.  Loading and salvaging return typed {!error}s — a
@@ -175,7 +175,6 @@ module Writer : sig
   val create :
     ?compress:bool ->
     ?chunk_limit:int ->
-    ?journal:Io.writer ->
     ?sink:Sink.t ->
     initial_exe:string ->
     unit ->
@@ -185,9 +184,8 @@ module Writer : sig
       in; tests shrink it to force multi-chunk traces from small
       workloads.  Each sealed chunk is deflated on the spot.
 
-      With [sink] (or [journal], sugar for [Sink.of_io]; [sink] wins
-      when both are given), the trace streams to that sink {e while
-      being recorded}: images and file snapshots always precede the
+      With [sink], the trace streams to that sink {e while being
+      recorded}: images and file snapshots always precede the
       chunks that reference them, and a stats journal mark lands every
       few chunks — so killing the writer at any byte leaves a prefix
       that {!salvage} can recover and replay (file sink), a live ring
@@ -353,15 +351,10 @@ val open_ : string -> (t, error) result
     every record, cross-check the trailer index — without inflating any
     chunk. *)
 
-val load : string -> (t, error) result
-(** Alias of {!open_}. *)
-
 val open_io : Io.reader -> (t, error) result
 
 val open_exn : string -> t
 (** {!open_}, raising {!Format_error} instead of returning [Error]. *)
-
-val load_exn : string -> t
 
 (** {1 Salvage} *)
 

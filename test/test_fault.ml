@@ -180,7 +180,8 @@ let test_killed_recording_salvages () =
   (* Reference run: learn the journal length and the true frame stream. *)
   let ref_buf = Buffer.create 65536 in
   let ref_trace, _, _ =
-    Recorder.record ~journal:(Io.buffer_writer ref_buf) ~setup:wl.Workload.setup
+    let sink = Recorder.Sink_io (Io.buffer_writer ref_buf) in
+    Recorder.record ~opts:(Recorder.make_opts ~sink ()) ~setup:wl.Workload.setup
       ~exe:wl.Workload.exe ()
   in
   let reference = Trace.Reader.to_array ref_trace in
@@ -192,8 +193,9 @@ let test_killed_recording_salvages () =
       let buf = Buffer.create 65536 in
       let journal = Io.inject [ Io.Write_crash_at cut ] (Io.buffer_writer buf) in
       (match
-         Recorder.run ~journal ~setup:wl.Workload.setup
-           ~exe:wl.Workload.exe ()
+         Recorder.run
+           ~opts:(Recorder.make_opts ~sink:(Recorder.Sink_io journal) ())
+           ~setup:wl.Workload.setup ~exe:wl.Workload.exe ()
        with
       | Error (Recorder.Rec_trace _) -> ()
       | Error (Recorder.Rec_failure m) ->

@@ -76,6 +76,9 @@ let test_bounded_ring_keeps_the_tail () =
     (Telemetry.counter_value (Telemetry.counter "ring.dropped_chunks")
      - dropped0
     >= report.Trace.rr_dropped_chunks);
+  Alcotest.(check bool)
+    "resident-bytes gauge set" true
+    (Telemetry.gauge_value (Telemetry.gauge "ring.resident_bytes") > 0);
   let frames = Trace.Reader.to_array window in
   let base = report.Trace.rr_base_frame in
   Alcotest.(check int)
@@ -95,7 +98,8 @@ let test_killed_recording_salvages () =
   | Error (Recorder.Rec_failure _) -> ()
   | Error e -> Alcotest.failf "wrong error class: %a" Recorder.pp_error e
   | Ok _ -> Alcotest.fail "the event-limit guard never fired");
-  Alcotest.(check int) "no drops" 0 report.Trace.rr_base_frame;
+  Alcotest.(check int) "no drops" 0 report.Trace.rr_dropped_chunks;
+  Alcotest.(check int) "window starts at 0" 0 report.Trace.rr_base_frame;
   let frames = Trace.Reader.to_array window in
   let n = Array.length frames in
   Alcotest.(check bool) "something salvaged" true (n > 0 && n < total);
@@ -119,10 +123,10 @@ let test_flight_dump_on_always () =
   with_temp_path @@ fun path ->
   let w = small_cp () in
   let ring = Trace.ring ~chunks:2 in
-  let opts = Recorder.with_dump_on (mk ()) [ Recorder.On_always ] in
   let outcome =
     match
-      Flight.record ~opts ~dump:(Flight.To_file path) ~ring
+      Flight.record ~opts:(mk ()) ~dump_on:[ Flight.On_always ]
+        ~dump:(Flight.To_file path) ~ring
         ~setup:w.Workload.setup ~exe:w.Workload.exe ()
     with
     | Ok o -> o
@@ -134,7 +138,7 @@ let test_flight_dump_on_always () =
     Alcotest.failf "wrong cause: %a" Fmt.(Dump.option Flight.pp_cause) c);
   Alcotest.(check (option string)) "dumped to the file" (Some path)
     outcome.Flight.dumped_to;
-  let saved = Trace.load_exn path in
+  let saved = Trace.open_exn path in
   Alcotest.(check bool)
     "dumped window loads identically" true
     (Trace.Reader.to_array saved = Trace.Reader.to_array outcome.Flight.window)
@@ -143,10 +147,10 @@ let test_flight_exit_zero_no_dump () =
   with_temp_path @@ fun path ->
   let w = small_cp () in
   let ring = Trace.ring ~chunks:2 in
-  let opts = Recorder.with_dump_on (mk ()) [ Recorder.On_exit_nonzero ] in
   let outcome =
     match
-      Flight.record ~opts ~dump:(Flight.To_file path) ~ring
+      Flight.record ~opts:(mk ()) ~dump_on:[ Flight.On_exit_nonzero ]
+        ~dump:(Flight.To_file path) ~ring
         ~setup:w.Workload.setup ~exe:w.Workload.exe ()
     with
     | Ok o -> o
@@ -160,14 +164,11 @@ let test_flight_signal_trigger () =
   let w = small_cp () in
   let reference = record_reference () in
   let ring = Trace.ring ~chunks:4096 in
-  let opts =
-    Recorder.with_dump_on
-      (mk ~max_events:(Array.length reference / 2) ())
-      [ Recorder.On_signal ]
-  in
+  let opts = mk ~max_events:(Array.length reference / 2) () in
   let outcome =
     match
-      Flight.record ~opts ~dump:(Flight.To_file path) ~ring
+      Flight.record ~opts ~dump_on:[ Flight.On_signal ]
+        ~dump:(Flight.To_file path) ~ring
         ~setup:w.Workload.setup ~exe:w.Workload.exe ()
     with
     | Ok o -> o

@@ -391,12 +391,21 @@ let test_scripted_session () =
      monitor restart 1 => at frame 1\n\
      D => OK\n"
   in
-  match Gdb_script.parse src with
+  let base = Telemetry.snapshot () in
+  (match Gdb_script.parse src with
   | Error e -> Alcotest.failf "parse: %s" e
   | Ok steps -> (
     match Gdb_script.run client steps with
     | Ok count -> Alcotest.(check int) "all steps ran" 7 count
-    | Error e -> Alcotest.failf "script failed: %s" e)
+    | Error e -> Alcotest.failf "script failed: %s" e));
+  (* every dispatched command is timed under the gdb.cmd span *)
+  let cmds =
+    match List.assoc_opt "gdb.cmd" (Telemetry.since base).Telemetry.snap_spans with
+    | Some s -> s.Telemetry.s_count
+    | None -> 0
+  in
+  Alcotest.(check bool) (Printf.sprintf "gdb.cmd span counted (%d)" cmds) true
+    (cmds >= 7)
 
 let suites =
   [ ( "gdbstub.packet",

@@ -5,4 +5,4 @@ let () =
      @ Test_timeline.suites
      @ Test_exec.suites @ Test_diagnostics.suites @ Test_fault.suites
      @ Test_repo.suites @ Test_flight.suites
-     @ Test_gdbstub.suites @ Test_query.suites)
+     @ Test_gdbstub.suites @ Test_query.suites @ Test_identity.suites)

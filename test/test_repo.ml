@@ -54,11 +54,24 @@ let test_round_trip () =
     (Some (Trace.initial_exe loaded));
   ok (Repo.verify repo)
 
+let counter name = Telemetry.counter_value (Telemetry.counter name)
+
 let test_double_store_shares () =
   with_temp_repo @@ fun _dir repo ->
   let t = record_small () in
+  let stored0 = counter "repo.objects_stored" in
+  let shared0 = counter "repo.objects_shared" in
+  let deduped0 = counter "repo.bytes_deduped" in
   let first = ok (Repo.store_trace repo ~name:"a" t) in
   let second = ok (Repo.store_trace repo ~name:"b" t) in
+  Alcotest.(check int) "objects_stored counts the first store"
+    first.Repo.new_objects
+    (counter "repo.objects_stored" - stored0);
+  Alcotest.(check int) "objects_shared counts the second store"
+    second.Repo.shared_objects
+    (counter "repo.objects_shared" - shared0);
+  Alcotest.(check bool) "bytes_deduped moved" true
+    (counter "repo.bytes_deduped" > deduped0);
   Alcotest.(check bool)
     "first store writes objects" true
     (first.Repo.new_objects > 0);

@@ -93,6 +93,14 @@ let test_overflow_drops_counted () =
 
 (* ---- export invariants ----------------------------------------------- *)
 
+(* What an export looks like once parsed and balanced. *)
+type shape = {
+  n_events : int;
+  lanes : int; (* distinct tids carrying non-metadata events *)
+  layers : string list; (* B-event categories, sorted *)
+  depth : int; (* deepest B nesting on any lane *)
+}
+
 (* Walk a parsed Chrome document: per-tid stack discipline — every B is
    closed by an E with the same name, nothing left open. *)
 let check_balanced json =
@@ -104,6 +112,8 @@ let check_balanced json =
     | _ -> Alcotest.fail "no traceEvents array"
   in
   let stacks : (int, string list) Hashtbl.t = Hashtbl.create 8 in
+  let lanes = Hashtbl.create 8 and layers = Hashtbl.create 8 in
+  let depth = ref 0 in
   let str m k =
     match List.assoc_opt k m with Some (Json_min.Str s) -> s | _ -> "" in
   let num m k =
@@ -114,11 +124,14 @@ let check_balanced json =
   List.iter
     (fun ev ->
       let m = match ev with Json_min.Obj m -> m | _ -> Alcotest.fail "event not an object" in
+      if str m "ph" <> "M" then Hashtbl.replace lanes (num m "tid") ();
       match str m "ph" with
       | "B" ->
         let tid = num m "tid" in
-        let st = Option.value ~default:[] (Hashtbl.find_opt stacks tid) in
-        Hashtbl.replace stacks tid (str m "name" :: st)
+        let st = str m "name" :: Option.value ~default:[] (Hashtbl.find_opt stacks tid) in
+        Hashtbl.replace layers (str m "cat") ();
+        depth := max !depth (List.length st);
+        Hashtbl.replace stacks tid st
       | "E" -> (
         let tid = num m "tid" in
         match Hashtbl.find_opt stacks tid with
@@ -133,7 +146,10 @@ let check_balanced json =
       if st <> [] then
         Alcotest.failf "tid %d left %d scopes open" tid (List.length st))
     stacks;
-  List.length evs
+  { n_events = List.length evs;
+    lanes = Hashtbl.length lanes;
+    layers = List.sort compare (List.of_seq (Hashtbl.to_seq_keys layers));
+    depth = !depth }
 
 let test_export_synthesizes_close () =
   with_clock @@ fun now ->
@@ -148,6 +164,40 @@ let test_export_synthesizes_close () =
   (* rebalance the real per-domain stack for the tests that follow *)
   Tl.end_scope "kern.run";
   Tl.end_scope "record.session"
+
+(* A real recording under the timeline, exported the way `rr_cli profile`
+   exports it (host clock riding along): the document is balanced, nests
+   scopes, covers the kern, rrtrace and rr layers, and spans >= 2
+   lanes. *)
+let test_recording_export_shape () =
+  let host = ref 0 in
+  Tl.set_host_clock (fun () ->
+      host := !host + 1;
+      !host);
+  Fun.protect ~finally:Tl.clear_host_clock @@ fun () ->
+  let w =
+    Wl_samba.make
+      ~params:
+        { Wl_samba.echoes = 8; payload = 64; server_work = 1_500;
+          client_work = 800 }
+      ()
+  in
+  Tl.start ();
+  ignore (Workload.record w : Workload.recorded * Kernel.t);
+  Tl.stop ();
+  let shape = check_balanced (Tl.to_chrome_json ()) in
+  List.iter
+    (fun layer ->
+      if not (List.mem layer shape.layers) then
+        Alcotest.failf "no scopes from layer %S (have %s)" layer
+          (String.concat "," shape.layers))
+    [ "kern"; "rrtrace"; "rr" ];
+  Alcotest.(check bool)
+    (Printf.sprintf ">= 2 lanes (%d)" shape.lanes)
+    true (shape.lanes >= 2);
+  Alcotest.(check bool)
+    (Printf.sprintf "nested scopes (depth %d)" shape.depth)
+    true (shape.depth >= 2)
 
 (* Random scope programs: whatever we emit, the export parses and every
    B has a matching E in stack order. *)
@@ -178,7 +228,7 @@ let prop_export_balanced ops =
       else Tl.sample "pool.queue_depth" !now)
     ops;
   Tl.stop ();
-  let n = check_balanced (Tl.to_chrome_json ()) in
+  let n = (check_balanced (Tl.to_chrome_json ())).n_events in
   (* drain the domain stack so the next iteration starts clean *)
   while !depth > 0 do
     Tl.end_scope "cleanup";
@@ -268,4 +318,6 @@ let suites =
           test_export_synthesizes_close;
         test_export_property;
         Alcotest.test_case "two-domain hammer stays nested" `Quick
-          test_two_domain_hammer ] ) ]
+          test_two_domain_hammer;
+        Alcotest.test_case "recording export is balanced and layered" `Quick
+          test_recording_export_shape ] ) ]
