@@ -602,6 +602,8 @@ let micro () =
            Printf.sprintf "frame tid=%d result=%d;" i (i * 7)))
   in
   let compressed = Compress.deflate payload in
+  (* The recorder's degenerate case: sambatest's echo bodies. *)
+  let echo = String.make 8247 'S' in
   let w = Wl_cp.make ~params:{ Wl_cp.files = 2; file_kb = 64 } () in
   let recd, _ = Workload.record w in
   let r0 = Replayer.start recd.Workload.trace in
@@ -610,10 +612,12 @@ let micro () =
   done;
   let tests =
     Test.make_grouped ~name:"rr"
-      [ Test.make ~name:"deflate-10KB"
+      [ Test.make ~name:"deflate-~5KB"
           (Staged.stage (fun () -> ignore (Compress.deflate payload)));
-        Test.make ~name:"inflate-10KB"
+        Test.make ~name:"inflate-~5KB"
           (Staged.stage (fun () -> ignore (Compress.inflate compressed)));
+        Test.make ~name:"deflate-echo-8KB"
+          (Staged.stage (fun () -> ignore (Compress.deflate echo)));
         Test.make ~name:"checkpoint-snapshot"
           (Staged.stage (fun () -> ignore (Replayer.snapshot r0)));
         Test.make ~name:"record-cp-small"

@@ -13,7 +13,7 @@ let put_bits w v n =
   w.acc <- w.acc lor ((v land ((1 lsl n) - 1)) lsl w.nbits);
   w.nbits <- w.nbits + n;
   while w.nbits >= 8 do
-    Buffer.add_char w.buf (Char.chr (w.acc land 0xff));
+    Buffer.add_char w.buf (Char.unsafe_chr (w.acc land 0xff));
     w.acc <- w.acc lsr 8;
     w.nbits <- w.nbits - 8
   done
@@ -42,7 +42,7 @@ let get_bits r n =
   assert (n >= 0 && n <= 24);
   while r.rnbits < n do
     if r.pos >= String.length r.src then raise Truncated;
-    r.racc <- r.racc lor (Char.code r.src.[r.pos] lsl r.rnbits);
+    r.racc <- r.racc lor (Char.code (String.unsafe_get r.src r.pos) lsl r.rnbits);
     r.pos <- r.pos + 1;
     r.rnbits <- r.rnbits + 8
   done;
@@ -51,4 +51,15 @@ let get_bits r n =
   r.rnbits <- r.rnbits - n;
   v
 
-let get_bit r = get_bits r 1
+(* The Huffman decoder's per-bit read: refill at most one byte. *)
+let get_bit r =
+  if r.rnbits = 0 then begin
+    if r.pos >= String.length r.src then raise Truncated;
+    r.racc <- Char.code (String.unsafe_get r.src r.pos);
+    r.pos <- r.pos + 1;
+    r.rnbits <- 8
+  end;
+  let b = r.racc land 1 in
+  r.racc <- r.racc lsr 1;
+  r.rnbits <- r.rnbits - 1;
+  b

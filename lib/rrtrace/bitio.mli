@@ -17,3 +17,4 @@ exception Truncated
 val reader : string -> reader
 val get_bits : reader -> int -> int
 val get_bit : reader -> int
+(** [get_bits r 1], refilling at most one byte. *)

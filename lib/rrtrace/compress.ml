@@ -4,7 +4,15 @@
    as zlib's "deflate", which rr uses for all general trace data (paper
    §2.7).  The bitstream is our own (single block, code lengths stored
    verbatim), so it is not zlib-compatible, but the algorithmic costs and
-   achieved ratios are comparable for trace-like data. *)
+   achieved ratios are comparable for trace-like data.
+
+   The match search is greedy and walks at most [max_chain] candidates,
+   newest first; like zlib it stops at the first full-length match, and
+   it skips a candidate that differs at the current best length, since
+   only a strictly longer match replaces the best.  Tokens are plain
+   ints and symbol frequencies are counted as they are made.  Inflate
+   writes into an output of the declared size, which is bounded by the
+   most a stream of its length can expand to. *)
 
 let window_size = 32768
 let min_match = 4
@@ -33,94 +41,138 @@ let dist_table =
 let num_lit_syms = 257 + Array.length len_table
 let num_dist_syms = Array.length dist_table
 
-let code_of_table table v =
+(* [code_index table limit]: byte [v] is the row of [table] whose range
+   holds [v], i.e. the last row with base ≤ v (row 0 below the first). *)
+let code_index table limit =
+  let t = Bytes.make (limit + 1) '\000' in
   let n = Array.length table in
-  let rec go i =
-    if i + 1 >= n then i
-    else
-      let next_base, _ = table.(i + 1) in
-      if v < next_base then i else go (i + 1)
-  in
-  go 0
+  for c = 0 to n - 1 do
+    let lo = fst table.(c) in
+    let hi = if c + 1 < n then fst table.(c + 1) - 1 else limit in
+    Bytes.fill t lo (hi - lo + 1) (Char.chr c)
+  done;
+  t
 
-type token = Lit of char | Match of int * int (* len, dist *)
+let len_code = code_index len_table max_match
+let dist_code = code_index dist_table window_size
+let code t v = Char.code (Bytes.unsafe_get t v)
+
+(* A token is a literal byte, or [match_flag lor (len lsl 16) lor dist]
+   (dist ≤ 32768 fits 16 bits, len ≤ 258 fits 9). *)
+let match_flag = 1 lsl 25
 
 let hash4 s i =
-  let b k = Char.code (String.unsafe_get s (i + k)) in
-  (b 0 + (b 1 lsl 5) + (b 2 lsl 10) + (b 3 lsl 15)) land (hash_size - 1)
+  (Char.code (String.unsafe_get s i)
+  + (Char.code (String.unsafe_get s (i + 1)) lsl 5)
+  + (Char.code (String.unsafe_get s (i + 2)) lsl 10)
+  + (Char.code (String.unsafe_get s (i + 3)) lsl 15))
+  land (hash_size - 1)
+[@@inline]
 
-(* Greedy LZ77 tokenization with hash chains. *)
-let tokenize src =
+(* Hash-chain heads and links, one pair per domain and reused by every
+   call, since allocating them per chunk cost more than the search:
+   [head] is reset per call, and [prev] is a ring over the window.  A
+   position is only followed on the chain while it is inside the window,
+   so its [prev] slot has not been reused yet. *)
+let chains_key =
+  Domain.DLS.new_key (fun () ->
+      (Array.make hash_size (-1), Array.make window_size (-1)))
+
+(* Greedy LZ77 tokenization with hash chains.  Returns the tokens and
+   their count, and adds each token's symbols to the frequency tables. *)
+let tokenize src lit_freq dist_freq =
   let n = String.length src in
-  let head = Array.make hash_size (-1) in
-  let prev = Array.make (max n 1) (-1) in
-  let tokens = ref [] in
-  let i = ref 0 in
-  let insert pos =
+  let head, prev = Domain.DLS.get chains_key in
+  Array.fill head 0 hash_size (-1);
+  let tokens = ref (Array.make (1 + (n / 16)) 0) and ntok = ref 0 in
+  let emit t =
+    if !ntok = Array.length !tokens then begin
+      let bigger = Array.make (2 * !ntok) 0 in
+      Array.blit !tokens 0 bigger 0 !ntok;
+      tokens := bigger
+    end;
+    Array.unsafe_set !tokens !ntok t;
+    incr ntok
+  in
+  (* Both indices are masked to their array's size. *)
+  let[@inline] insert pos =
     if pos + min_match <= n then begin
       let h = hash4 src pos in
-      prev.(pos) <- head.(h);
-      head.(h) <- pos
+      let slot = pos land (window_size - 1) in
+      Array.unsafe_set prev slot (Array.unsafe_get head h);
+      Array.unsafe_set head h pos
     end
   in
+  let literal pos =
+    let c = Char.code (String.unsafe_get src pos) in
+    emit c;
+    lit_freq.(c) <- lit_freq.(c) + 1
+  in
+  let i = ref 0 in
   while !i < n do
     let pos = !i in
     if pos + min_match > n then begin
-      tokens := Lit src.[pos] :: !tokens;
+      literal pos;
       incr i
     end
     else begin
       (* Find the longest match on the chain. *)
+      let lim = Int.min max_match (n - pos) in
       let best_len = ref 0 and best_dist = ref 0 in
       let cand = ref head.(hash4 src pos) in
       let chain = ref 0 in
       while !cand >= 0 && !chain < max_chain do
         let c = !cand in
         if pos - c <= window_size then begin
-          let lim = min max_match (n - pos) in
-          let l = ref 0 in
-          while !l < lim && src.[c + !l] = src.[pos + !l] do incr l done;
-          if !l > !best_len then begin
-            best_len := !l;
-            best_dist := pos - c
+          let b = !best_len in
+          (* b < lim here, so both offsets are inside [src]. *)
+          if String.unsafe_get src (c + b) = String.unsafe_get src (pos + b)
+          then begin
+            let l = ref 0 in
+            while
+              !l < lim
+              && String.unsafe_get src (c + !l) = String.unsafe_get src (pos + !l)
+            do
+              incr l
+            done;
+            if !l > b then begin
+              best_len := !l;
+              best_dist := pos - c
+            end
           end;
-          cand := prev.(c);
+          cand :=
+            if !best_len = lim then -1 else prev.(c land (window_size - 1));
           incr chain
         end
         else cand := -1
       done;
-      if !best_len >= min_match then begin
-        tokens := Match (!best_len, !best_dist) :: !tokens;
-        for p = pos to pos + !best_len - 1 do insert p done;
-        i := pos + !best_len
+      let len = !best_len in
+      if len >= min_match then begin
+        let dist = !best_dist in
+        emit (match_flag lor (len lsl 16) lor dist);
+        let lc = 257 + code len_code len and dc = code dist_code dist in
+        lit_freq.(lc) <- lit_freq.(lc) + 1;
+        dist_freq.(dc) <- dist_freq.(dc) + 1;
+        for p = pos to pos + len - 1 do insert p done;
+        i := pos + len
       end
       else begin
-        tokens := Lit src.[pos] :: !tokens;
+        literal pos;
         insert pos;
         incr i
       end
     end
   done;
-  List.rev !tokens
+  (!tokens, !ntok)
 
 (* Entropy-coded body; [deflate] below falls back to a stored block when
    this doesn't pay (small inputs can't amortize the code-length tables,
    like deflate's stored-block case). *)
 let deflate_huffman src =
-  let tokens = tokenize src in
-  (* Frequency pass. *)
   let lit_freq = Array.make num_lit_syms 0 in
   let dist_freq = Array.make num_dist_syms 0 in
-  let bump a i = a.(i) <- a.(i) + 1 in
-  List.iter
-    (fun tok ->
-      match tok with
-      | Lit c -> bump lit_freq (Char.code c)
-      | Match (len, dist) ->
-        bump lit_freq (257 + code_of_table len_table len);
-        bump dist_freq (code_of_table dist_table dist))
-    tokens;
-  bump lit_freq eob;
+  let tokens, ntok = tokenize src lit_freq dist_freq in
+  lit_freq.(eob) <- lit_freq.(eob) + 1;
   let lit_enc = Huffman.encoder lit_freq in
   let dist_enc = Huffman.encoder dist_freq in
   let w = Bitio.writer () in
@@ -130,21 +182,21 @@ let deflate_huffman src =
   Bitio.put_bits w (String.length src lsr 24) 24;
   Array.iter (fun l -> Bitio.put_bits w l 4) lit_enc.Huffman.lens;
   Array.iter (fun l -> Bitio.put_bits w l 4) dist_enc.Huffman.lens;
-  List.iter
-    (fun tok ->
-      match tok with
-      | Lit c -> Huffman.write_symbol w lit_enc (Char.code c)
-      | Match (len, dist) ->
-        let lc = code_of_table len_table len in
-        let base, extra = len_table.(lc) in
-        Huffman.write_symbol w lit_enc (257 + lc);
-        if extra > 0 then Bitio.put_bits w (len - base) extra;
-        let dc = code_of_table dist_table dist in
-        let dbase, dextra = dist_table.(dc) in
-        Huffman.write_symbol w dist_enc (code_of_table dist_table dist);
-        ignore dc;
-        if dextra > 0 then Bitio.put_bits w (dist - dbase) dextra)
-    tokens;
+  for k = 0 to ntok - 1 do
+    let t = tokens.(k) in
+    if t land match_flag = 0 then Huffman.write_symbol w lit_enc t
+    else begin
+      let len = (t lsr 16) land 0x1ff and dist = t land 0xffff in
+      let lc = code len_code len in
+      let base, extra = len_table.(lc) in
+      Huffman.write_symbol w lit_enc (257 + lc);
+      if extra > 0 then Bitio.put_bits w (len - base) extra;
+      let dc = code dist_code dist in
+      let dbase, dextra = dist_table.(dc) in
+      Huffman.write_symbol w dist_enc dc;
+      if dextra > 0 then Bitio.put_bits w (dist - dbase) dextra
+    end
+  done;
   Huffman.write_symbol w lit_enc eob;
   Bitio.finish w
 
@@ -166,39 +218,48 @@ exception Corrupt of string
 
 let inflate_huffman data =
   let r = Bitio.reader data in
-  (try
-     let lo = Bitio.get_bits r 24 in
-     let hi = Bitio.get_bits r 24 in
-     let size = lo lor (hi lsl 24) in
-     let lit_lens = Array.init num_lit_syms (fun _ -> Bitio.get_bits r 4) in
-     let dist_lens = Array.init num_dist_syms (fun _ -> Bitio.get_bits r 4) in
-     let lit_dec = Huffman.decoder lit_lens in
-     let dist_dec = Huffman.decoder dist_lens in
-     let out = Buffer.create (max size 16) in
-     let finished = ref false in
-     while not !finished do
-       let s = Huffman.read_symbol r lit_dec in
-       if s < 256 then Buffer.add_char out (Char.chr s)
-       else if s = eob then finished := true
-       else begin
-         let base, extra = len_table.(s - 257) in
-         let len = base + if extra > 0 then Bitio.get_bits r extra else 0 in
-         let dc = Huffman.read_symbol r dist_dec in
-         let dbase, dextra = dist_table.(dc) in
-         let dist = dbase + if dextra > 0 then Bitio.get_bits r dextra else 0 in
-         let start = Buffer.length out - dist in
-         if start < 0 then raise (Corrupt "distance before start");
-         (* Overlapping copies are the LZ77 norm: byte-by-byte. *)
-         for i = 0 to len - 1 do
-           Buffer.add_char out (Buffer.nth out (start + i))
-         done
-       end
-     done;
-     if Buffer.length out <> size then raise (Corrupt "size mismatch");
-     Buffer.contents out
-   with
+  try
+    let lo = Bitio.get_bits r 24 in
+    let hi = Bitio.get_bits r 24 in
+    let size = lo lor (hi lsl 24) in
+    (* Each byte holds at most 8 symbols, each at most one 258-byte match. *)
+    if size > 8 * max_match * String.length data then
+      raise (Corrupt "declared size too large");
+    let lit_lens = Array.init num_lit_syms (fun _ -> Bitio.get_bits r 4) in
+    let dist_lens = Array.init num_dist_syms (fun _ -> Bitio.get_bits r 4) in
+    let lit_dec = Huffman.decoder lit_lens in
+    let dist_dec = Huffman.decoder dist_lens in
+    let out = Bytes.create size in (* chunk-lifecycle: one per inflate *)
+    (* [fill o] decodes symbols from output offset [o] to end of block. *)
+    let rec fill o =
+      let s = Huffman.read_symbol r lit_dec in
+      if s < 256 then begin
+        if o >= size then raise (Corrupt "size mismatch");
+        Bytes.unsafe_set out o (Char.unsafe_chr s);
+        fill (o + 1)
+      end
+      else if s = eob then o
+      else begin
+        let base, extra = len_table.(s - 257) in
+        let len = base + if extra > 0 then Bitio.get_bits r extra else 0 in
+        let dbase, dextra = dist_table.(Huffman.read_symbol r dist_dec) in
+        let dist = dbase + if dextra > 0 then Bitio.get_bits r dextra else 0 in
+        if dist > o then raise (Corrupt "distance before start");
+        if len > size - o then raise (Corrupt "size mismatch");
+        if dist >= len then Bytes.blit out (o - dist) out o len
+        else
+          (* Overlapping copies are the LZ77 norm: byte-by-byte. *)
+          for k = o to o + len - 1 do
+            Bytes.unsafe_set out k (Bytes.unsafe_get out (k - dist))
+          done;
+        fill (o + len)
+      end
+    in
+    if fill 0 <> size then raise (Corrupt "size mismatch");
+    Bytes.unsafe_to_string out
+  with
   | Bitio.Truncated -> raise (Corrupt "truncated")
-  | Huffman.Bad_code -> raise (Corrupt "bad code"))
+  | Huffman.Bad_code -> raise (Corrupt "bad code")
 
 let inflate data =
   if String.length data = 0 then raise (Corrupt "empty stream")

@@ -2,9 +2,11 @@
 
    [lengths] computes code lengths from symbol frequencies (heap-built
    Huffman tree, with iterative frequency flattening if the depth limit
-   is exceeded); [canonical] assigns the canonical codes; [decoder]
-   builds a simple code->symbol table walked bit by bit (fine for a
-   simulator; real zlib uses multi-bit tables). *)
+   is exceeded); [canonical] assigns the canonical codes.  The encoder
+   keeps each code bit-reversed, so a symbol is one [Bitio.put_bits]
+   into the LSB-first stream.  The decoder is zlib puff's: per-length
+   code counts plus the symbols in canonical order, read one bit at a
+   time with no table beyond those two arrays. *)
 
 let max_code_len = 15
 
@@ -121,47 +123,64 @@ let canonical lens =
   done;
   codes
 
-type encoder = { lens : int array; codes : int array }
+type encoder = { lens : int array; rev_codes : int array }
+
+(* [code] with its low [len] bits in reverse order. *)
+let reverse code len =
+  let r = ref 0 in
+  for i = 0 to len - 1 do
+    r := (!r lsl 1) lor ((code lsr i) land 1)
+  done;
+  !r
 
 let encoder freqs =
   let lens = lengths freqs in
-  { lens; codes = canonical lens }
+  { lens; rev_codes = Array.map2 reverse (canonical lens) lens }
 
-(* Emit MSB-first within the code (canonical convention), into the
-   LSB-first bit stream. *)
+(* Canonical codes are MSB-first; reversed, the first bit of the code is
+   the first bit into the LSB-first stream. *)
 let write_symbol w enc s =
   let len = enc.lens.(s) in
   assert (len > 0);
-  let code = enc.codes.(s) in
-  for i = len - 1 downto 0 do
-    Bitio.put_bits w ((code lsr i) land 1) 1
-  done
+  Bitio.put_bits w enc.rev_codes.(s) len
 
 type decoder = {
-  (* (code, len) -> symbol, stored per length for linear walk *)
-  by_len : (int, int) Hashtbl.t array; (* index: length *)
+  count : int array; (* count.(l): codes of length l, for l ≥ 1 *)
+  symbol : int array; (* symbols ordered by (length, symbol) *)
   max_len : int;
 }
 
 exception Bad_code
 
 let decoder lens =
-  let codes = canonical lens in
   let max_len = Array.fold_left max 0 lens in
-  let by_len = Array.init (max_len + 1) (fun _ -> Hashtbl.create 16) in
+  let count = Array.make (max_len + 1) 0 in
+  Array.iter (fun l -> count.(l) <- count.(l) + 1) lens;
+  (* offs.(l): where the symbols of length l start in [symbol]. *)
+  let offs = Array.make (max_len + 1) 0 in
+  for l = 1 to max_len - 1 do
+    offs.(l + 1) <- offs.(l) + count.(l)
+  done;
+  let symbol = Array.make (Array.length lens - count.(0)) 0 in
   Array.iteri
-    (fun s l -> if l > 0 then Hashtbl.replace by_len.(l) codes.(s) s)
+    (fun s l ->
+      if l > 0 then begin
+        symbol.(offs.(l)) <- s;
+        offs.(l) <- offs.(l) + 1
+      end)
     lens;
-  { by_len; max_len }
+  { count; symbol; max_len }
 
+(* At length [len], [code] holds the bits read so far (shifted for the
+   next one), the [count] codes of this length start at canonical code
+   [first], and their symbols start at [symbol.(index)].  Invariant:
+   [code >= first], so a hit indexes inside the length's run. *)
 let read_symbol r dec =
-  let rec go code len =
-    if len > dec.max_len then raise Bad_code
-    else
-      let code = (code lsl 1) lor Bitio.get_bit r in
-      let len = len + 1 in
-      match Hashtbl.find_opt dec.by_len.(len) code with
-      | Some s -> s
-      | None -> go code len
+  let rec go len code first index =
+    if len > dec.max_len then raise Bad_code;
+    let code = code lor Bitio.get_bit r in
+    let count = dec.count.(len) in
+    if code - count < first then dec.symbol.(index + (code - first))
+    else go (len + 1) (code lsl 1) ((first + count) lsl 1) (index + count)
   in
-  go 0 0
+  go 1 0 0 0

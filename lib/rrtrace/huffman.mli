@@ -1,5 +1,6 @@
 (** Canonical, length-limited Huffman codes: code-length computation from
-    frequencies, canonical code assignment, bit-level encode/decode. *)
+    frequencies, canonical code assignment, one-call symbol writes and a
+    canonical count/symbol decoder (zlib puff's). *)
 
 val max_code_len : int
 
@@ -10,7 +11,9 @@ val lengths : int array -> int array
 val canonical : int array -> int array
 (** Canonical code assignment from lengths. *)
 
-type encoder = { lens : int array; codes : int array }
+type encoder = { lens : int array; rev_codes : int array }
+(** [rev_codes.(s)] is the canonical code of [s], bit-reversed over its
+    [lens.(s)] bits for the LSB-first stream. *)
 
 val encoder : int array -> encoder
 val write_symbol : Bitio.writer -> encoder -> int -> unit
@@ -20,4 +23,7 @@ type decoder
 exception Bad_code
 
 val decoder : int array -> decoder
+
 val read_symbol : Bitio.reader -> decoder -> int
+(** Raises {!Bad_code} when the bits read match no code of the table,
+    and [Bitio.Truncated] when the stream ends first. *)

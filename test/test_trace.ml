@@ -19,13 +19,17 @@ let test_compress_incompressible () =
   Alcotest.(check string) "random roundtrip" data
     (Compress.inflate (Compress.deflate data))
 
-let test_compress_ratio_on_trace_like_data () =
-  (* Trace data is highly repetitive: expect a solid ratio. *)
+let trace_like_text () =
   let b = Buffer.create 4096 in
   for i = 0 to 999 do
-    Buffer.add_string b (Printf.sprintf "event tid=%d nr=%d result=0\n" (i mod 4) (i mod 7))
+    Buffer.add_string b
+      (Printf.sprintf "event tid=%d nr=%d result=0\n" (i mod 4) (i mod 7))
   done;
-  let data = Buffer.contents b in
+  Buffer.contents b
+
+let test_compress_ratio_on_trace_like_data () =
+  (* Trace data is highly repetitive: expect a solid ratio. *)
+  let data = trace_like_text () in
   let c = Compress.deflate data in
   let ratio = float_of_int (String.length data) /. float_of_int (String.length c) in
   Alcotest.(check bool)
@@ -55,6 +59,125 @@ let qcheck_compress_repetitive =
     (fun (s, n) ->
       let data = String.concat "" (List.init n (fun _ -> s)) in
       Compress.inflate (Compress.deflate data) = data)
+
+(* Format pin: saved traces hold these exact bytes, so a digest that
+   moves means the trace format changed. *)
+let test_compress_golden () =
+  List.iter
+    (fun (name, data, len, md5) ->
+      let c = Compress.deflate data in
+      Alcotest.(check int) (name ^ " length") len (String.length c);
+      Alcotest.(check string) (name ^ " md5") md5 Digest.(to_hex (string c));
+      Alcotest.(check string) (name ^ " roundtrip") data (Compress.inflate c))
+    [ ("echo body", String.make 8247 'S', 175,
+       "a6f894e4b49ded7561df804fe3a9a5dc");
+      ("trace-like text", trace_like_text (), 398,
+       "02ad9c96677bd5fe770efe7f08aaf6b7");
+      ("quadratic bytes",
+       String.init 70000 (fun i -> Char.chr (((i * i) + (i / 7)) land 255)),
+       2439, "c0a5cceef3302198e70531454257edc0") ]
+
+let corrupt_only data =
+  match Compress.inflate data with
+  | _ -> true
+  | exception Compress.Corrupt _ -> true
+  | exception _ -> false
+
+let check_corrupt name data =
+  match Compress.inflate data with
+  | s -> Alcotest.failf "%s: decoded %d bytes" name (String.length s)
+  | exception Compress.Corrupt _ -> ()
+  | exception e -> Alcotest.failf "%s: raised %s" name (Printexc.to_string e)
+
+(* Empty code tables: the first symbol read walks past every code length.
+   That must be a bad code, not an array index out of bounds. *)
+let test_inflate_past_longest_code () =
+  check_corrupt "1 GiB size, empty tables"
+    ("\001\x00\x00\x00\x40\x00\x00" ^ String.make 200 '\x00');
+  check_corrupt "empty size, empty tables"
+    ("\001" ^ String.make 206 '\x00');
+  let dec = Huffman.decoder [| 0; 0; 0 |] in
+  (match Huffman.read_symbol (Bitio.reader "\x00\x00") dec with
+   | s -> Alcotest.failf "empty code decoded %d" s
+   | exception Huffman.Bad_code -> ());
+  (* Lengths {1; 2}: code 11 is unused, and must not decode. *)
+  let dec = Huffman.decoder [| 1; 2; 0 |] in
+  match Huffman.read_symbol (Bitio.reader "\xff\xff") dec with
+  | s -> Alcotest.failf "unused code decoded %d" s
+  | exception Huffman.Bad_code -> ()
+
+(* A declared size no stream of this length can reach is rejected before
+   the output is allocated. *)
+let test_inflate_size_bound () =
+  let data = "\001\xff\xff\xff\xff\xff\x0f" ^ String.make 200 '\x00' in
+  let before = (Gc.quick_stat ()).Gc.major_words in
+  check_corrupt "2^44-byte size" data;
+  let grown = (Gc.quick_stat ()).Gc.major_words -. before in
+  Alcotest.(check bool)
+    (Printf.sprintf "no output allocated (%.0f major words)" grown)
+    true (grown < 65536.)
+
+(* Inputs past the 32 KiB window, built to hit full-length matches, a
+   repeat at exactly the window distance and short-period overlaps. *)
+let gen_windowed =
+  let open QCheck.Gen in
+  let* target = int_range (33 * 1024) (100 * 1024) in
+  let* seed = int in
+  let st = Random.State.make [| seed |] in
+  let b = Buffer.create target in
+  while Buffer.length b < target do
+    let len = 1 + Random.State.int st 600 in
+    match Random.State.int st 5 with
+    | 0 -> Buffer.add_string b (String.make len (Char.chr (Random.State.int st 256)))
+    | 1 ->
+      let period = 1 + Random.State.int st 8 in
+      let unit = String.init period (fun _ -> Char.chr (Random.State.int st 256)) in
+      Buffer.add_string b (String.init len (fun i -> unit.[i mod period]))
+    | 2 when Buffer.length b >= 32768 ->
+      let from = Buffer.length b - 32768 in
+      Buffer.add_string b (Buffer.sub b from (min len 32768))
+    | _ ->
+      Buffer.add_string b
+        (String.init (1 + (len / 3)) (fun _ -> Char.chr (Random.State.int st 256)))
+  done;
+  return (Buffer.contents b)
+
+let qcheck_compress_windowed =
+  QCheck.Test.make ~name:"deflate/inflate roundtrip (33-100 KiB)" ~count:20
+    (QCheck.make ~print:(fun s -> Printf.sprintf "<%d bytes>" (String.length s))
+       gen_windowed)
+    (fun s -> Compress.inflate (Compress.deflate s) = s)
+
+let test_compress_window_distance () =
+  let st = Random.State.make [| 7 |] in
+  let block = String.init 32768 (fun _ -> Char.chr (Random.State.int st 256)) in
+  let data = block ^ block ^ String.make 1000 'x' in
+  let c = Compress.deflate data in
+  Alcotest.(check bool) "repeat at the window distance is matched" true
+    (String.length c < 34000);
+  Alcotest.(check string) "roundtrip" data (Compress.inflate c)
+
+(* Damage after the size header: inflate returns something or raises
+   Corrupt, never any other exception. *)
+let qcheck_inflate_fuzz =
+  QCheck.Test.make ~name:"inflate of a damaged stream raises only Corrupt"
+    ~count:500
+    QCheck.(
+      triple (pair (string_of_size Gen.(1 -- 40)) (int_range 2 300))
+        (list_of_size Gen.(1 -- 8) (pair small_nat (int_bound 255)))
+        bool)
+    (fun ((unit, reps), edits, truncate) ->
+      let c = Compress.deflate (String.concat "" (List.init reps (fun _ -> unit))) in
+      let b = Bytes.of_string c in
+      let header = 7 in
+      if Bytes.length b > header then
+        List.iter
+          (fun (off, v) ->
+            Bytes.set b (header + (off mod (Bytes.length b - header))) (Char.chr v))
+          edits;
+      let s = Bytes.to_string b in
+      let s = if truncate then String.sub s 0 ((String.length s + 1) / 2) else s in
+      corrupt_only s)
 
 let test_codec_varint () =
   let b = Codec.sink () in
@@ -321,7 +444,15 @@ let suites =
         Alcotest.test_case "corruption detected" `Quick
           test_compress_corrupt_rejected;
         QCheck_alcotest.to_alcotest qcheck_compress_roundtrip;
-        QCheck_alcotest.to_alcotest qcheck_compress_repetitive ] );
+        QCheck_alcotest.to_alcotest qcheck_compress_repetitive;
+        Alcotest.test_case "golden streams" `Quick test_compress_golden;
+        Alcotest.test_case "window-distance repeat" `Quick
+          test_compress_window_distance;
+        QCheck_alcotest.to_alcotest qcheck_compress_windowed;
+        Alcotest.test_case "code past the longest length" `Quick
+          test_inflate_past_longest_code;
+        Alcotest.test_case "declared size bound" `Quick test_inflate_size_bound;
+        QCheck_alcotest.to_alcotest qcheck_inflate_fuzz ] );
     ( "trace.codec",
       [ Alcotest.test_case "varint" `Quick test_codec_varint;
         Alcotest.test_case "string list" `Quick test_codec_string_list;
